@@ -20,7 +20,6 @@ use fuzzydedup_textdist::{record_string, record_term_set, Distance, TermSet};
 use crate::candgen::{
     select_top_candidates, select_top_candidates_weighted, CandFilter, RecordMeta,
 };
-use crate::pivot::PivotTable;
 use crate::scratch::with_scoreboard;
 use crate::{
     lookup_from_verified, sort_neighbors, survive, verify_candidates_bounded, LookupCost,
@@ -42,12 +41,6 @@ pub struct DynamicIndexConfig {
     pub max_df_fraction: f64,
     /// Stop-gram document-frequency floor.
     pub stop_df_floor: u32,
-    /// Pivots for LAESA-style triangle-inequality pruning (0 = off). The
-    /// first `pivots` pushed records become the pivots; the table extends
-    /// with every append. Only takes effect when the distance reports
-    /// [`Distance::admits_metric_pruning`] and is record-string
-    /// invariant; otherwise the layer degrades to a no-op.
-    pub pivots: usize,
 }
 
 impl Default for DynamicIndexConfig {
@@ -58,7 +51,6 @@ impl Default for DynamicIndexConfig {
             candidate_limit: 256,
             max_df_fraction: 0.2,
             stop_df_floor: 100,
-            pivots: 0,
         }
     }
 }
@@ -76,10 +68,6 @@ pub struct DynamicInvertedIndex<D> {
     /// Pre-joined normalized record strings, maintained on `push` when the
     /// distance is [`Distance::record_string_invariant`] (`None` otherwise).
     norm: Option<Vec<String>>,
-    /// Pivot-distance table, extended on every `push`; present only when
-    /// `config.pivots > 0`, the distance admits metric pruning, and the
-    /// norm cache exists to feed it.
-    pivot: Option<PivotTable>,
     /// Per-record multiplicities when the index fronts a collapsed corpus
     /// (DESIGN.md §7.10); `None` in ordinary mode. Maintained by
     /// [`Self::push`] (new class, multiplicity 1) and
@@ -96,11 +84,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     pub fn new(distance: D, config: DynamicIndexConfig) -> Self {
         let filter_ok = distance.admits_qgram_filter();
         let norm = distance.record_string_invariant().then(Vec::new);
-        let pivot = if norm.is_some() && distance.admits_metric_pruning() {
-            PivotTable::new_dynamic(config.pivots)
-        } else {
-            None
-        };
         Self {
             records: Vec::new(),
             distance,
@@ -109,7 +92,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             meta: Vec::new(),
             filter_ok,
             norm,
-            pivot,
             mult: None,
             n_full: 0,
         }
@@ -134,13 +116,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         }
         self.meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
         if let Some(norm) = &mut self.norm {
-            let joined = record_string(&fields);
-            if let Some(pivot) = &mut self.pivot {
-                let start = std::time::Instant::now();
-                pivot.push(&joined);
-                incr(Counter::PivotTableBuildNs, start.elapsed().as_nanos() as u64);
-            }
-            norm.push(joined);
+            norm.push(record_string(&fields));
         }
         self.records.push(record);
         if let Some(mult) = &mut self.mult {
@@ -310,9 +286,8 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     /// that record itself at distance 0. This is the read side of a
     /// point-query API ("find duplicates of this record now").
     ///
-    /// The pivot table is not consulted (a probe has no pivot row) and
-    /// verification is scalar rather than lock-step batched; both are
-    /// pure performance levers, so the answer is exactly what an
+    /// Verification is scalar rather than lock-step batched, a pure
+    /// performance lever, so the answer is exactly what an
     /// identical appended record would see under the same corpus
     /// statistics (document frequencies, stop-gram thresholds).
     pub fn probe(
@@ -383,7 +358,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     fn answer(&self, id: u32, spec: LookupSpec) -> Vec<Neighbor> {
         let gathered = self.gather(id, self.config.candidate_limit);
         let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
         let (verified, _) = verify_candidates_bounded(
             &self.distance,
             self.record_view(),
@@ -393,7 +367,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             1.0,
             None,
             filter.as_ref(),
-            pivot.as_ref(),
             None,
         );
         verified
@@ -439,7 +412,6 @@ impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
     ) -> (Vec<Neighbor>, f64, LookupCost) {
         let gathered = self.gather(id, self.config.candidate_limit);
         let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
         let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
         let (verified, attempted) = verify_candidates_bounded(
             &self.distance,
@@ -450,7 +422,6 @@ impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
             p,
             weights.as_ref(),
             filter.as_ref(),
-            pivot.as_ref(),
             cache,
         );
         lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
@@ -549,40 +520,6 @@ mod tests {
         assert!(ng >= 2.0);
         assert_eq!(cost.probes, 1);
         assert!(cost.distance_calls <= cost.candidates);
-    }
-
-    #[test]
-    fn pivot_pruning_is_lossless_across_appends() {
-        let records: Vec<String> = (0..50)
-            .map(|i| match i % 3 {
-                0 => format!("golden dragon palace branch {:02}", i / 3),
-                1 => format!("golden drgon palace branch {:02}", i / 3),
-                _ => format!("completely unrelated payload row {i:03}"),
-            })
-            .collect();
-        let base = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };
-        let mut plain = DynamicInvertedIndex::new(EditDistance, base.clone());
-        let mut pruned =
-            DynamicInvertedIndex::new(EditDistance, DynamicIndexConfig { pivots: 6, ..base });
-        for (step, r) in records.iter().enumerate() {
-            plain.push(vec![r.clone()]);
-            pruned.push(vec![r.clone()]);
-            // Interleave queries with appends: the table must stay
-            // consistent at every growth stage, not just at the end.
-            if step % 7 == 0 {
-                let id = (step / 2) as u32;
-                assert_eq!(plain.top_k(id, 3), pruned.top_k(id, 3), "step {step}");
-            }
-        }
-        assert!(pruned.pivot.is_some());
-        assert_eq!(pruned.pivot.as_ref().unwrap().num_pivots(), 6);
-        for id in 0..plain.len() as u32 {
-            assert_eq!(plain.top_k(id, 5), pruned.top_k(id, 5), "id {id}");
-            assert_eq!(plain.within(id, 0.3), pruned.within(id, 0.3), "id {id}");
-            let (n_a, ng_a, _) = plain.lookup(id, LookupSpec::TopK(3), 2.0);
-            let (n_b, ng_b, _) = pruned.lookup(id, LookupSpec::TopK(3), 2.0);
-            assert_eq!((n_a, ng_a), (n_b, ng_b), "id {id}");
-        }
     }
 
     #[test]

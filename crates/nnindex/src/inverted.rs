@@ -49,7 +49,6 @@ use crate::candgen::{
     select_top_candidates, select_top_candidates_weighted, CandFilter, CsrPostings, PackedPostings,
     RecordMeta,
 };
-use crate::pivot::PivotTable;
 use crate::scratch::{with_merge_stage, with_scoreboard, with_scored, StageRun};
 use crate::{
     lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
@@ -83,25 +82,17 @@ pub enum PostingsSource {
     #[default]
     Packed,
     /// The in-memory CSR mirror: contiguous raw-`u32` posting slices,
-    /// scalar one-term-at-a-time merge. The behavioral reference for the
-    /// packed path.
+    /// scalar one-term-at-a-time merge. The bit-exact reference for the
+    /// packed path: both sum IDF weights rarest term first, so they agree
+    /// on every candidate score, on the candidate order, and on the set
+    /// kept under a binding `candidate_limit`. `Pages` cannot take this
+    /// role: it sums in `record_term_set` order, and a different float
+    /// summation order can break score ties the other way.
     Csr,
     /// The page-backed postings through the buffer pool: the historical
-    /// path, kept selectable for the buffer-locality experiments and as
-    /// the behavioral reference for both in-memory mirrors.
+    /// path, kept selectable for the buffer-locality experiments. The
+    /// equivalence suites check it against both in-memory mirrors.
     Pages,
-}
-
-impl PostingsSource {
-    /// Parse from driver flags ("packed" | "csr" | "pages").
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "packed" => Some(Self::Packed),
-            "csr" => Some(Self::Csr),
-            "pages" => Some(Self::Pages),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration of the inverted index.
@@ -139,12 +130,6 @@ pub struct InvertedIndexConfig {
     /// proxies can cost verification-time count-filter prunes and, under
     /// a `candidate_limit`, reorder which candidates are kept.
     pub prefix_filter: bool,
-    /// Pivots for LAESA-style triangle-inequality pruning (0 = off).
-    /// Only takes effect when the distance reports
-    /// [`Distance::admits_metric_pruning`] *and* is record-string
-    /// invariant (the table is built over the normalized record strings);
-    /// otherwise the layer degrades to a no-op.
-    pub pivots: usize,
 }
 
 impl Default for InvertedIndexConfig {
@@ -158,7 +143,6 @@ impl Default for InvertedIndexConfig {
             chunk_size: 256,
             postings_source: PostingsSource::Packed,
             prefix_filter: false,
-            pivots: 0,
         }
     }
 }
@@ -207,10 +191,6 @@ pub struct InvertedIndex<D> {
     postings: HeapFile,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,
-    /// Pivot-distance table for triangle-inequality pruning; present only
-    /// when `config.pivots > 0`, the distance admits metric pruning, and
-    /// the normalized record strings exist to build it over.
-    pivot: Option<PivotTable>,
     /// Per-record multiplicities of a collapsed corpus (DESIGN.md §7.10):
     /// record `i` stands for `mult[i]` identical originals. `None` for an
     /// ordinary corpus. When present, document frequencies, IDF weights,
@@ -336,7 +316,7 @@ impl<D: Distance> InvertedIndex<D> {
             meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
         }
         let filter_ok = distance.admits_qgram_filter();
-        let norm: Option<Vec<String>> = distance.record_string_invariant().then(|| {
+        let norm = distance.record_string_invariant().then(|| {
             records
                 .iter()
                 .map(|record| {
@@ -345,18 +325,6 @@ impl<D: Distance> InvertedIndex<D> {
                 })
                 .collect()
         });
-        // The pivot table speaks raw Levenshtein over the normalized
-        // record strings, so it needs both the metric capability and the
-        // norm cache; absent either, pruning silently stays off.
-        let pivot = match &norm {
-            Some(norm) if config.pivots > 0 && distance.admits_metric_pruning() => {
-                let start = std::time::Instant::now();
-                let table = PivotTable::build(norm, config.pivots, 0);
-                incr(Counter::PivotTableBuildNs, start.elapsed().as_nanos() as u64);
-                table
-            }
-            _ => None,
-        };
         Self {
             records,
             distance,
@@ -370,7 +338,6 @@ impl<D: Distance> InvertedIndex<D> {
             norm,
             postings,
             filter_ok,
-            pivot,
             mult,
         }
     }
@@ -821,7 +788,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
     fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
         let gathered = self.gather(id, None);
         let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
         let (mut verified, _) = verify_candidates_bounded(
             &self.distance,
             self.record_view(),
@@ -831,7 +797,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
             1.0,
             None,
             filter.as_ref(),
-            pivot.as_ref(),
             None,
         );
         sort_neighbors(&mut verified);
@@ -842,7 +807,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
     fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
         let gathered = self.gather(id, Some(radius));
         let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
         let (mut verified, _) = verify_candidates_bounded(
             &self.distance,
             self.record_view(),
@@ -852,7 +816,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
             1.0,
             None,
             filter.as_ref(),
-            pivot.as_ref(),
             None,
         );
         verified.retain(|n| n.dist < radius);
@@ -878,7 +841,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
     ) -> (Vec<Neighbor>, f64, LookupCost) {
         let gathered = self.gather(id, None);
         let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
         let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
         let (verified, attempted) = verify_candidates_bounded(
             &self.distance,
@@ -889,7 +851,6 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
             p,
             weights.as_ref(),
             filter.as_ref(),
-            pivot.as_ref(),
             cache,
         );
         lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
@@ -1235,50 +1196,6 @@ mod tests {
         assert_eq!(idx.csr.postings(tid).len(), 300, "CSR mirrors the page postings");
         // And the index still answers queries.
         assert!(!idx.top_k(0, 2).is_empty());
-    }
-
-    #[test]
-    fn pivot_pruning_is_lossless_and_fires() {
-        // Counters are process-global: serialize for the lb_skips check.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
-        // Each group holds a near-duplicate pair plus a token *permutation*
-        // of it: the permutation shares the pair's gram multiset (so the
-        // q-gram count filter cannot prune it) but sits far away in edit
-        // distance — exactly the candidate only the triangle bound can
-        // reject once the near-dupe has tightened the cutoff.
-        let records: Vec<Vec<String>> = (0..60)
-            .map(|i| {
-                let g = i / 3;
-                let s = match i % 3 {
-                    0 => format!("alpha bravo charlie delta {g:02}"),
-                    1 => format!("alpha bravo charlie detla {g:02}"),
-                    _ => format!("delta charlie bravo alpha {g:02}"),
-                };
-                vec![s]
-            })
-            .collect();
-        let base = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
-        let plain = build_records(records.clone(), base.clone());
-        let pruned = build_records(records, InvertedIndexConfig { pivots: 8, ..base });
-        assert!(pruned.pivot.is_some(), "edit distance admits metric pruning");
-        let before = fuzzydedup_metrics::snapshot();
-        for id in 0..plain.len() as u32 {
-            assert_eq!(plain.top_k(id, 5), pruned.top_k(id, 5), "top_k id {id}");
-            assert_eq!(plain.within(id, 0.3), pruned.within(id, 0.3), "within id {id}");
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.25)] {
-                let (n_a, ng_a, _) = plain.lookup(id, spec, 2.0);
-                let (n_b, ng_b, _) = pruned.lookup(id, spec, 2.0);
-                assert_eq!(n_a, n_b, "id {id} {spec:?}");
-                assert_eq!(ng_a, ng_b, "id {id} {spec:?}");
-            }
-        }
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
-        assert!(
-            delta.get(Counter::PivotLbSkips) > 0,
-            "the triangle bound must reject some far candidates"
-        );
-        assert!(delta.get(Counter::PivotQueryDists) > 0);
     }
 
     /// Delegates to [`EditDistance`] but opts out of the normalized-record

@@ -33,7 +33,6 @@ pub mod candgen;
 pub mod dynamic;
 pub mod inverted;
 pub mod nested_loop;
-pub mod pivot;
 mod scratch;
 pub mod signature;
 
@@ -42,7 +41,6 @@ pub use candgen::{CsrPostings, PackedPostings, RecordMeta, PACKED_BLOCK};
 pub use dynamic::{DynamicIndexConfig, DynamicInvertedIndex};
 pub use inverted::{InvertedIndex, InvertedIndexConfig, PostingsSource};
 pub use nested_loop::NestedLoopIndex;
-pub use pivot::{PivotQuery, PivotTable};
 pub use signature::{MinHashConfig, MinHashIndex};
 
 use candgen::CandFilter;
@@ -322,38 +320,6 @@ impl<'a> LookupWeights<'a> {
 /// miss pays the distance call and stores what it learned. Both the
 /// prepared kernel and the cache are pure performance levers — the
 /// surviving set is identical either way.
-///
-/// When a [`PivotQuery`] is supplied (only sound for distances with
-/// [`Distance::admits_metric_pruning`]), a prepass computes each
-/// candidate's raw triangle bounds in one table scan. The lower bound
-/// adds a pruning rung between the q-gram filter and the cache probe:
-/// `lb_raw / max_chars > cutoff` proves the normalized distance exceeds
-/// the cutoff (division by the same denominator the kernel divides by is
-/// monotone, so `lb_norm ≤ d` exactly), and the bounded call would have
-/// rejected — pruning is lossless and skips the `attempted` count like
-/// the q-gram rungs do. The upper bounds warm-start the running cutoffs
-/// as **static per-lookup components kept separate from the running
-/// state** (folding them into `kth`/`nn_running` would double-count):
-///
-/// * `warm_spec` — the k-th smallest normalized upper bound (TopK(k)
-///   only). The k-th smallest UB is ≥ the k-th smallest true distance,
-///   so every candidate the final top-k needs has `d ≤ d_(k) ≤
-///   warm_spec` and survives the inclusive bounded call.
-/// * `warm_growth` — `p ·` the smallest normalized upper bound, applied
-///   only when `p ≥ 1`: the globally closest candidate `c*` has
-///   `d(c*) ≤ min_ub ≤ p·min_ub` and `d(c*) ≤ p·nn_running` throughout,
-///   so `c*` always survives, `nn_final` is unchanged, and with it the
-///   growth threshold `p·nn_final` every needed survivor is measured
-///   against. (For `p < 1` the component stays ∞ — the growth cutoff
-///   could otherwise reject `c*` itself.)
-///
-/// The effective cutoff is `min(spec_cut, warm_spec).max(min(growth_cut,
-/// warm_growth))`: each side stays ≥ its final threshold, so needed
-/// survivors still pass, and any extra rejection is of a candidate the
-/// final sort/filter would discard anyway — the same over-inclusion
-/// argument as batching. Both warm components are static, so the
-/// tightened cutoff still only shrinks over the candidate order and the
-/// frozen batch cutoff keeps dominating later members.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates_bounded<D: Distance>(
     distance: &D,
@@ -364,7 +330,6 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
     p: f64,
     weights: Option<&LookupWeights<'_>>,
     filter: Option<&CandFilter<'_>>,
-    pivot: Option<&PivotQuery<'_>>,
     cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, u64) {
     let mut query: Vec<&str> = Vec::new();
@@ -397,62 +362,6 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
                 kth.resize((self_mult as usize - 1).min(k), 0.0);
             }
         }
-        // Pivot prepass: per-candidate normalized lower bounds plus the
-        // two static warm-start cutoff components derived from the upper
-        // bounds (see the doc comment for the soundness argument). The
-        // normalization division happens here rather than in the
-        // rejection loop so the per-candidate test is one compare, and
-        // the table rows are prefetched a few candidates ahead — the
-        // prepass is a random walk over the row-major table.
-        let pivot_bounds = &mut scratch.pivot_bounds;
-        pivot_bounds.clear();
-        let mut warm_spec = f64::INFINITY;
-        let mut warm_growth = f64::INFINITY;
-        if let Some(pv) = pivot {
-            /// Row prefetch distance: deep enough to cover an L2 miss at
-            /// one `bounds` scan per step.
-            const LOOKAHEAD: usize = 8;
-            let q_chars = pv.chars(id);
-            let ub_norms = &mut scratch.ub_norms;
-            ub_norms.clear();
-            let mut min_ub = f64::INFINITY;
-            for (i, &c) in candidates.iter().enumerate() {
-                if let Some(&ahead) = candidates.get(i + LOOKAHEAD) {
-                    pv.prefetch(ahead);
-                }
-                let (lb_raw, ub_raw) = pv.bounds(c);
-                let max_chars = q_chars.max(pv.chars(c));
-                if max_chars == 0 {
-                    // Both strings empty: the true distance is 0.
-                    pivot_bounds.push(0.0);
-                    ub_norms.push(0.0);
-                    min_ub = 0.0;
-                } else {
-                    let denom = max_chars as f64;
-                    pivot_bounds.push(lb_raw as f64 / denom);
-                    let ub = ub_raw as f64 / denom;
-                    ub_norms.push(ub);
-                    min_ub = min_ub.min(ub);
-                }
-            }
-            if p >= 1.0 {
-                warm_growth = p * min_ub;
-            }
-            if let LookupSpec::TopK(k) = spec {
-                if k > 0 && ub_norms.len() >= k {
-                    let (_, kth_ub, _) =
-                        ub_norms.select_nth_unstable_by(k - 1, |a, b| a.total_cmp(b));
-                    warm_spec = *kth_ub;
-                }
-            }
-            if warm_spec.is_finite() || warm_growth.is_finite() {
-                incr(Counter::PivotUbCutoffSeeds, 1);
-            }
-        }
-        // Triangle-bound skips, accumulated locally and published once —
-        // a per-skip atomic add would contend across the work-stealing
-        // verification threads on the shared counter cache line.
-        let mut lb_skips = 0u64;
         for (i, &c) in candidates.iter().enumerate() {
             let spec_cut = match spec {
                 LookupSpec::TopK(0) => f64::NEG_INFINITY,
@@ -466,17 +375,11 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
                 LookupSpec::Radius(theta) => theta,
             };
             let growth_cut = p * nn_running; // ∞ until the first survivor
-            let cutoff = spec_cut.min(warm_spec).max(growth_cut.min(warm_growth));
+            let cutoff = spec_cut.max(growth_cut);
             if let Some(f) = filter {
                 if f.prunes(i, c, cutoff) {
                     continue;
                 }
-            }
-            // `>` keeps NaN cutoffs from pruning; at cutoff ≥ 1.0 the
-            // normalized bound (≤ 1 always) never fires.
-            if !pivot_bounds.is_empty() && pivot_bounds[i] > cutoff {
-                lb_skips += 1;
-                continue;
             }
             if let Some(cache) = cache {
                 match cache.probe(id, c, cutoff) {
@@ -546,9 +449,6 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
                     }
                 }
             }
-        }
-        if lb_skips > 0 {
-            incr(Counter::PivotLbSkips, lb_skips);
         }
         flush_batch(
             &mut prepared,
@@ -880,7 +780,6 @@ mod tests {
                     None,
                     None,
                     None,
-                    None,
                 );
                 assert_eq!(attempted, candidates.len() as u64);
                 let n = candidates.len() as u64;
@@ -966,7 +865,6 @@ mod tests {
                         None,
                         None,
                         None,
-                        None,
                     );
                     assert_eq!(attempted, candidates.len() as u64);
                     let scalar = verify_scalar(&records, id, &candidates, spec, p);
@@ -998,7 +896,6 @@ mod tests {
             &candidates,
             LookupSpec::TopK(3),
             2.0,
-            None,
             None,
             None,
             None,
@@ -1081,7 +978,6 @@ mod tests {
                     None,
                     Some(&filter),
                     None,
-                    None,
                 );
                 let (unfiltered, u_attempted) = verify_candidates_bounded(
                     &EditDistance,
@@ -1090,7 +986,6 @@ mod tests {
                     &candidates,
                     spec,
                     p,
-                    None,
                     None,
                     None,
                     None,
@@ -1131,7 +1026,6 @@ mod tests {
             &candidates,
             LookupSpec::TopK(1),
             2.0,
-            None,
             None,
             None,
             None,

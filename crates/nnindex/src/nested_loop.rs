@@ -115,7 +115,6 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
             p,
             weights.as_ref(),
             None,
-            None,
             cache,
         );
         lookup_from_verified(verified, generated, attempted, spec, p, weights.as_ref())

@@ -226,7 +226,6 @@ impl<D: Distance> NnIndex for MinHashIndex<D> {
             None,
             filter.as_ref(),
             None,
-            None,
         );
         sort_neighbors(&mut verified);
         verified.truncate(k);
@@ -245,7 +244,6 @@ impl<D: Distance> NnIndex for MinHashIndex<D> {
             1.0,
             None,
             filter.as_ref(),
-            None,
             None,
         );
         verified.retain(|n| n.dist < radius);
@@ -274,7 +272,6 @@ impl<D: Distance> NnIndex for MinHashIndex<D> {
             p,
             weights.as_ref(),
             filter.as_ref(),
-            None,
             cache,
         );
         lookup_from_verified(

@@ -224,62 +224,6 @@ fn prefix_filter_preserves_radius_results_on_packed_and_csr() {
 }
 
 #[test]
-fn pivot_pruning_is_bit_identical_across_postings_sources() {
-    // Token-permuted pairs share their base's gram multiset (invisible to
-    // the count filter) while being far in edit distance — the candidates
-    // the pivot triangle bound rejects. With pivots on, every postings
-    // layout must still agree with the scalar CSR path AND with its own
-    // pivot-free build, for TopK and radius flavors alike.
-    let mut records = noisy_corpus(0xC0FFEE, 40);
-    let permuted: Vec<Vec<String>> = records
-        .iter()
-        .take(20)
-        .map(|rec| {
-            let mut tokens: Vec<&str> = rec[0].split_whitespace().collect();
-            tokens.reverse();
-            vec![tokens.join(" ")]
-        })
-        .collect();
-    records.extend(permuted);
-
-    let build_pivot = |source: PostingsSource, pivots: usize| {
-        let config = InvertedIndexConfig {
-            candidate_limit: 0,
-            postings_source: source,
-            pivots,
-            ..Default::default()
-        };
-        InvertedIndex::build(records.clone(), EditDistance, pool(), config)
-    };
-    let csr_plain = build_pivot(PostingsSource::Csr, 0);
-    for source in [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages] {
-        let pruned = build_pivot(source, 6);
-        for id in 0..records.len() as u32 {
-            for k in [1, 4] {
-                assert_eq!(
-                    pruned.top_k(id, k),
-                    csr_plain.top_k(id, k),
-                    "{source:?}: pivots changed top_k({id}, {k})"
-                );
-            }
-            for radius in [0.1, 0.3] {
-                assert_eq!(
-                    pruned.within(id, radius),
-                    csr_plain.within(id, radius),
-                    "{source:?}: pivots changed within({id}, {radius})"
-                );
-            }
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.25)] {
-                let (nn_p, ng_p, _) = pruned.lookup(id, spec, 2.0);
-                let (nn_c, ng_c, _) = csr_plain.lookup(id, spec, 2.0);
-                assert_eq!(nn_p, nn_c, "{source:?}: lookup({id}, {spec:?}) diverged");
-                assert_eq!(ng_p, ng_c, "{source:?}: growth({id}, {spec:?}) diverged");
-            }
-        }
-    }
-}
-
-#[test]
 fn packed_skip_counters_fire_on_tight_radii() {
     // Long queries + tight radii freeze the merge early; the packed
     // top-up must take the block-skip walk (CandBlockSkips > 0) and the

@@ -151,15 +151,31 @@ fn bad_arguments_fail_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+    let out = bin().args(["--demo", "table1", "--gold-column", "99"]).output().unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "--gold-column/--columns do not apply to --demo datasets \
+         (demos carry their own gold labels)"
+    );
 }
 
 #[test]
 fn malformed_csv_is_reported() {
     let input = temp_path("bad.csv");
-    std::fs::write(&input, "name\n\"unterminated\n").unwrap();
-    let out = bin().args(["--input", input.to_str().unwrap()]).output().unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unterminated"), "{stderr}");
+    for (csv, expect) in [
+        ("name\n\"unterminated\n", "unterminated"),
+        // Ragged rows are rejected, not padded with empty fields.
+        (
+            "name,city\nacme corp,seattle\nfoo,bar,baz\n",
+            "record 3 has 3 fields, but record 1 has 2",
+        ),
+    ] {
+        std::fs::write(&input, csv).unwrap();
+        let out = bin().args(["--input", input.to_str().unwrap()]).output().unwrap();
+        assert!(!out.status.success(), "{csv:?} should fail");
+        assert!(out.stdout.is_empty(), "{csv:?} wrote output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{stderr}");
+    }
     std::fs::remove_file(&input).ok();
 }
