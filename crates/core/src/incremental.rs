@@ -9,14 +9,40 @@
 //! each batch.
 //!
 //! **Affected-set rule.** After appending a batch, an existing tuple's
-//! entry can only change if some new record is visible to it through the
-//! index, i.e. appears in its candidate set (shares a non-stop term).
-//! We therefore recompute entries for (a) every new id and (b) every
-//! existing id in some new id's candidate set. This is exactly consistent
-//! with the index semantics: a pair the index cannot see never appears in
-//! any NN list, so its entry cannot have depended on the new record.
-//! Equivalence with full recomputation is asserted by the test suite on
-//! randomized batch splits.
+//! entry can change for three reasons, and each is refreshed:
+//!
+//! 1. *A new record becomes visible to it*, i.e. shares a non-stop term
+//!    with it. We refresh every existing id in some new id's *uncapped*
+//!    candidate set (collapse mode adds the bumped representatives and
+//!    their candidates: a multiplicity shift moves every entry the
+//!    representative survives in).
+//! 2. *A term of it crosses the stop threshold.* The threshold
+//!    `max(max_df_fraction·n, stop_df_floor)` moves with `n`, so a term
+//!    can flip either way without a new record carrying it. Every id
+//!    posted under a flipped term is refreshed
+//!    ([`DynamicInvertedIndex::stop_flipped_ids`]).
+//! 3. *Its answer rests on corpus-wide statistics.* Query-time IDF
+//!    `ln(1+n/df)` moves with `n`, which re-ranks a candidate set; that
+//!    matters only when the candidate cap (the weighted budget in
+//!    collapse mode) cut the set, or when the gather fell back to
+//!    stop-inclusive terms. Each entry remembers whether its last lookup
+//!    did either ([`DynamicInvertedIndex::lookup_tracked`]), and such
+//!    entries refresh every batch.
+//!
+//! Any other entry sees the same candidate set, the same stop slack and
+//! the same distances as before, and verification does not depend on
+//! candidate order, so its answer cannot move. Equivalence with full
+//! recomputation is asserted by the test suite on randomized batch
+//! splits, including binding candidate caps and a low stop floor.
+//!
+//! **Catch-up.** A batch is *admitted* (index appends, collapse
+//! bookkeeping, placeholder entries) and then *refreshed* (lookups and
+//! Phase 2). Admission is cheap and deterministic, so a second state
+//! holding the same records can be brought level with one that ran the
+//! batch by admitting the same records and copying the refreshed entries
+//! and the partition — no lookup, no Phase 2. The service's epoch pair
+//! keeps its lagging side current this way, and its two sides share one
+//! pair cache (see `crate::service`).
 //!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`],
@@ -24,7 +50,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_nnindex::{
@@ -50,8 +76,8 @@ use crate::problem::CutSpec;
 pub struct BatchStats {
     /// Records appended in this batch.
     pub inserted: usize,
-    /// Pre-existing entries recomputed because a new record entered their
-    /// candidate neighborhoods.
+    /// Pre-existing entries recomputed because the batch could have moved
+    /// them (see the module docs' affected-set rule).
     pub refreshed: usize,
 }
 
@@ -215,16 +241,32 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         Ok(IncrementalDedup {
             index,
             entries: Vec::new(),
+            drifts: Vec::new(),
             cut: self.cut,
             agg: self.agg,
             c: self.c,
             p: self.p,
             partition: Partition::singletons(0),
             pair_cache: (self.pair_cache_capacity > 0)
-                .then(|| PairCache::new(self.pair_cache_capacity)),
+                .then(|| Arc::new(PairCache::new(self.pair_cache_capacity))),
             parallelism: self.parallelism,
             collapse,
         })
+    }
+
+    /// Build two empty, equivalent states that share one pair cache — the
+    /// two sides of the service's epoch pair. Either side may compute a
+    /// batch, so each side's own memo would miss half the traffic.
+    pub(crate) fn build_twins(
+        self,
+    ) -> Result<(IncrementalDedup<D>, IncrementalDedup<D>), DedupError>
+    where
+        D: Clone,
+    {
+        let left = self.clone().build()?;
+        let mut right = Self { pair_cache_capacity: 0, ..self }.build()?;
+        right.pair_cache = left.pair_cache.clone();
+        Ok((left, right))
     }
 }
 
@@ -245,14 +287,27 @@ struct IncCollapse {
 pub struct IncrementalDedup<D: Distance> {
     index: DynamicInvertedIndex<D>,
     entries: Vec<NnEntry>,
+    /// Per entry: its last lookup rested on corpus-wide statistics, so it
+    /// refreshes every batch (rule 3 of the module docs).
+    drifts: Vec<bool>,
     cut: CutSpec,
     agg: Aggregation,
     c: f64,
     p: f64,
     partition: Partition,
-    pair_cache: Option<PairCache>,
+    pair_cache: Option<Arc<PairCache>>,
     parallelism: Parallelism,
     collapse: Option<IncCollapse>,
+}
+
+/// What admitting a batch appended.
+struct Admitted {
+    inserted: usize,
+    /// Appended representatives (every appended record with collapse off).
+    new_ids: Vec<u32>,
+    /// Pre-existing representatives whose multiplicity the batch bumped
+    /// (collapse mode), sorted and deduplicated.
+    dup_reps: Vec<u32>,
 }
 
 impl<D: Distance> IncrementalDedup<D> {
@@ -347,14 +402,6 @@ impl<D: Distance> IncrementalDedup<D> {
         }
     }
 
-    fn recompute_entry(&mut self, id: u32) {
-        // Route through the caching extension point — plain `lookup` is
-        // the cache=None shorthand and would silently bypass the memo.
-        let cache = self.pair_cache.as_ref().map(|c| c as &dyn PairDistanceCache);
-        let (neighbors, ng, _cost) = self.index.lookup_cached(id, self.spec(), self.p, cache);
-        self.entries[id as usize] = NnEntry::new(id, neighbors, ng);
-    }
-
     /// Recompute the entries for `ids`, sequentially or sharded over the
     /// configured Phase-1 worker threads. Every entry is an independent
     /// lookup, so the parallel drive produces bit-identical results (the
@@ -366,28 +413,35 @@ impl<D: Distance> IncrementalDedup<D> {
             None => 1,
             Some(n) => resolve_threads(n, ids.len()),
         };
-        if threads <= 1 {
-            for &id in ids {
-                self.recompute_entry(id);
-            }
-            return;
-        }
         let spec = self.spec();
         let p = self.p;
         let index = &self.index;
-        let cache = self.pair_cache.as_ref().map(|c| c as &dyn PairDistanceCache);
+        // Route through the caching extension point — a cache-less lookup
+        // would silently bypass the memo.
+        let cache = self.pair_cache.as_deref().map(|c| c as &dyn PairDistanceCache);
+        let lookup = |id: u32| {
+            let (neighbors, ng, _cost, drifts) = index.lookup_tracked(id, spec, p, cache);
+            (NnEntry::new(id, neighbors, ng), drifts)
+        };
+        if threads <= 1 {
+            for &id in ids {
+                let (entry, drifts) = lookup(id);
+                self.entries[id as usize] = entry;
+                self.drifts[id as usize] = drifts;
+            }
+            return;
+        }
         // Work-stealing over fixed blocks of the refresh list — the same
         // dispenser as parallel Phase 1 (duplicate-dense entries verify
         // far more candidates than sparse ones, so static sharding
         // strands workers).
-        let slots: Vec<OnceLock<NnEntry>> = ids.iter().map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<(NnEntry, bool)>> = ids.iter().map(|_| OnceLock::new()).collect();
         let block = ids.len().div_ceil(threads * 8).clamp(1, 1024);
         let n_blocks = ids.len().div_ceil(block);
         let next_block = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let slots = &slots;
-                let next_block = &next_block;
+                let (slots, next_block, lookup) = (&slots, &next_block, &lookup);
                 scope.spawn(move || loop {
                     let b = next_block.fetch_add(1, Ordering::Relaxed);
                     if b >= n_blocks {
@@ -397,77 +451,52 @@ impl<D: Distance> IncrementalDedup<D> {
                     let start = b * block;
                     let end = (start + block).min(ids.len());
                     for (i, &id) in ids.iter().enumerate().take(end).skip(start) {
-                        let (neighbors, ng, _cost) = index.lookup_cached(id, spec, p, cache);
-                        let claimed = slots[i].set(NnEntry::new(id, neighbors, ng)).is_ok();
+                        let claimed = slots[i].set(lookup(id)).is_ok();
                         debug_assert!(claimed, "id {id} computed twice");
                     }
                 });
             }
         });
         for (slot, &id) in slots.into_iter().zip(ids) {
-            self.entries[id as usize] = slot.into_inner().expect("all ids computed");
+            let (entry, drifts) = slot.into_inner().expect("all ids computed");
+            self.entries[id as usize] = entry;
+            self.drifts[id as usize] = drifts;
         }
     }
 
     /// Append a batch of records, refresh affected entries, and recompute
     /// the partition.
     pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
-        let first_new = self.index.len() as u32;
-        let mut new_ids: Vec<u32> = Vec::new();
-        // Pre-existing representatives whose multiplicity this batch bumped
-        // (collapse mode): their own entries change (ng pins to 1, the
-        // weighted cutoff tightens), and so may any entry that sees them.
-        let mut dup_reps: Vec<u32> = Vec::new();
-        let mut inserted = 0usize;
-        for record in records {
-            inserted += 1;
-            if let Some(col) = self.collapse.as_mut() {
-                let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-                let key = col.key.key_of(&fields);
-                let full_id = self.index.n_full() as u32;
-                if let Some(&rep) = col.by_key.get(&key) {
-                    // Exact duplicate of an indexed class: no re-indexing,
-                    // just the multiplicity bump.
-                    self.index.note_duplicate(rep);
-                    col.classes[rep as usize].push(full_id);
-                    if rep < first_new {
-                        dup_reps.push(rep);
-                    }
-                    continue;
-                }
-                let rep = self.index.push(record);
-                col.by_key.insert(key, rep);
-                col.classes.push(vec![full_id]);
-                self.entries.push(NnEntry::new(rep, Vec::new(), 1.0));
-                new_ids.push(rep);
-                continue;
-            }
-            let id = self.index.push(record);
-            // Placeholder; filled below once all ids exist (a batch can
-            // contain mutual duplicates, so entries must see the whole
-            // batch).
-            self.entries.push(NnEntry::new(id, Vec::new(), 1.0));
-            new_ids.push(id);
-        }
-        dup_reps.sort_unstable();
-        dup_reps.dedup();
+        self.apply_batch(records).0
+    }
 
-        // Affected pre-existing ids: candidates of the changed records —
-        // the appended representatives plus (collapse mode) the bumped
-        // ones, whose weight shift moves every entry they survive in. The
-        // scan is *uncapped*: term-sharing visibility is symmetric, but the
+    /// [`Self::insert_batch`], also returning every entry id it recomputed
+    /// (appended ids first, then the refreshed pre-existing ones) — what
+    /// [`Self::catch_up`] copies.
+    pub(crate) fn apply_batch(
+        &mut self,
+        records: impl IntoIterator<Item = Vec<String>>,
+    ) -> (BatchStats, Vec<u32>) {
+        let first_new = self.index.len() as u32;
+        self.index.watch_stop_status();
+        let Admitted { inserted, new_ids, dup_reps } = self.admit(records);
+
+        // Rule 1: candidates of the changed records — the appended
+        // representatives plus (collapse mode) the bumped ones. The scan is
+        // *uncapped*: term-sharing visibility is symmetric, but the
         // per-query candidate cap is not — an old record can rank a new one
         // inside its own top-k even when the (capped) reverse query drops
         // it, and that old record's entry must still refresh.
         let mut affected: Vec<u32> = Vec::new();
         for &id in new_ids.iter().chain(&dup_reps) {
-            for candidate in self.index.candidates_with_limit(id, 0) {
-                if candidate < first_new {
-                    affected.push(candidate);
-                }
-            }
+            affected.extend(self.index.candidates_with_limit(id, 0));
         }
         affected.extend_from_slice(&dup_reps);
+        // Rule 2: terms that crossed the stop threshold.
+        affected.extend(self.index.stop_flipped_ids());
+        // Rule 3: entries resting on corpus-wide statistics.
+        affected.extend((0..first_new).filter(|&id| self.drifts[id as usize]));
+        affected.retain(|&id| id < first_new);
         affected.sort_unstable();
         affected.dedup();
 
@@ -482,7 +511,103 @@ impl<D: Distance> IncrementalDedup<D> {
             None => partition_entries(&reln, self.cut, self.agg, self.c),
             Some(n) => partition_entries_parallel(&reln, self.cut, self.agg, self.c, n),
         };
-        BatchStats { inserted, refreshed: affected.len() }
+        (BatchStats { inserted, refreshed: affected.len() }, refresh)
+    }
+
+    /// Bring this state level with `leader`, which held the same records
+    /// before running [`Self::apply_batch`] on `records` and recomputed
+    /// the entries `refreshed`: admit the same records, then copy those
+    /// entries and the leader's partition. Issues no lookup and runs no
+    /// Phase 2; afterwards the two states are identical.
+    pub(crate) fn catch_up(
+        &mut self,
+        records: impl IntoIterator<Item = Vec<String>>,
+        leader: &Self,
+        refreshed: &[u32],
+    ) {
+        self.admit(records);
+        debug_assert_eq!(self.len(), leader.len(), "catch-up from a leader on other records");
+        for &id in refreshed {
+            self.entries[id as usize].clone_from(&leader.entries[id as usize]);
+            self.drifts[id as usize] = leader.drifts[id as usize];
+        }
+        self.partition.clone_from(&leader.partition);
+    }
+
+    /// Assert that `other` holds exactly this state: entries bit for bit,
+    /// drift flags, partition, records and full-corpus bookkeeping.
+    #[cfg(test)]
+    pub(crate) fn assert_twin_of(&self, other: &Self) {
+        let bits = |state: &Self| -> Vec<u64> {
+            let mut out = Vec::new();
+            for e in &state.entries {
+                out.extend([u64::from(e.id), e.ng.to_bits(), e.neighbors.len() as u64]);
+                for nb in &e.neighbors {
+                    out.extend([u64::from(nb.id), nb.dist.to_bits()]);
+                }
+            }
+            out
+        };
+        assert_eq!(bits(self), bits(other), "entries");
+        assert_eq!(self.drifts, other.drifts, "drift flags");
+        assert_eq!(self.partition, other.partition, "partition");
+        assert_eq!(self.records(), other.records(), "records");
+        assert_eq!(self.len(), other.len(), "full-corpus length");
+        let mults = |state: &Self| -> Vec<u32> {
+            (0..state.records().len() as u32).map(|r| state.index.multiplicity(r)).collect()
+        };
+        assert_eq!(mults(self), mults(other), "multiplicities");
+        let classes = |state: &Self| state.collapse.as_ref().map(|c| c.classes.clone());
+        assert_eq!(classes(self), classes(other), "collapse classes");
+    }
+
+    /// Whether both states consult the same pair cache.
+    #[cfg(test)]
+    pub(crate) fn shares_pair_cache_with(&self, other: &Self) -> bool {
+        match (&self.pair_cache, &other.pair_cache) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Append a batch to the index and the collapse bookkeeping, with
+    /// placeholder entries for the appended ids (a batch can contain
+    /// mutual duplicates, so entries are filled only once every id
+    /// exists).
+    fn admit(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> Admitted {
+        let first_new = self.index.len() as u32;
+        let mut admitted = Admitted { inserted: 0, new_ids: Vec::new(), dup_reps: Vec::new() };
+        for record in records {
+            admitted.inserted += 1;
+            let id = match self.collapse.as_mut() {
+                None => self.index.push(record),
+                Some(col) => {
+                    let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+                    let key = col.key.key_of(&fields);
+                    let full_id = self.index.n_full() as u32;
+                    if let Some(&rep) = col.by_key.get(&key) {
+                        // Exact duplicate of an indexed class: no
+                        // re-indexing, just the multiplicity bump.
+                        self.index.note_duplicate(rep);
+                        col.classes[rep as usize].push(full_id);
+                        if rep < first_new {
+                            admitted.dup_reps.push(rep);
+                        }
+                        continue;
+                    }
+                    let rep = self.index.push(record);
+                    col.by_key.insert(key, rep);
+                    col.classes.push(vec![full_id]);
+                    rep
+                }
+            };
+            self.entries.push(NnEntry::new(id, Vec::new(), 1.0));
+            self.drifts.push(false);
+            admitted.new_ids.push(id);
+        }
+        admitted.dup_reps.sort_unstable();
+        admitted.dup_reps.dedup();
+        admitted
     }
 }
 
@@ -572,6 +697,139 @@ mod tests {
             full.insert_batch(base.clone());
             assert_eq!(inc.partition(), full.partition(), "trial {trial}");
             assert_eq!(inc.nn_reln(), full.nn_reln(), "trial {trial}");
+        }
+    }
+
+    /// Insert `base` in random batch splits and compare the final state
+    /// with one batch into a fresh state; returns how many of `trials`
+    /// splits diverged (relation or partition).
+    fn diverging_splits(
+        builder: &IncrementalDedupBuilder<EditDistance>,
+        base: &[Vec<String>],
+        rng: &mut StdRng,
+        trials: usize,
+    ) -> usize {
+        let mut full = builder.clone().build().unwrap();
+        full.insert_batch(base.to_vec());
+        (0..trials)
+            .filter(|_| {
+                let mut inc = builder.clone().build().unwrap();
+                let mut at = 0;
+                while at < base.len() {
+                    let take = rng.gen_range(1..=12).min(base.len() - at);
+                    inc.insert_batch(base[at..at + take].to_vec());
+                    at += take;
+                }
+                inc.nn_reln() != full.nn_reln() || inc.partition() != full.partition()
+            })
+            .count()
+    }
+
+    #[test]
+    fn incremental_is_lossless_under_binding_candidate_caps() {
+        // Clusters over pairwise disjoint alphabets: a new record shares no
+        // term with other clusters, yet its arrival moves IDF `ln(1+n/df)`
+        // for every term, which re-ranks a capped candidate set.
+        let alphabets = ["abcd", "efgh", "ijkl", "mnop", "qrst", "uvwx", "yz01", "2345", "6789"];
+        // Seeds on which refreshing only rule-1 entries diverges in 11 of
+        // the 48 splits.
+        for seed in [11, 18] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for limit in 2..=5 {
+                let mut base: Vec<Vec<String>> = Vec::new();
+                for _ in 0..rng.gen_range(80..=90) {
+                    let letters: Vec<char> =
+                        alphabets[rng.gen_range(0..alphabets.len())].chars().collect();
+                    let word = |rng: &mut StdRng| -> String {
+                        (0..rng.gen_range(4..=7)).map(|_| letters[rng.gen_range(0..4)]).collect()
+                    };
+                    base.push(vec![format!("{} {}", word(&mut rng), word(&mut rng))]);
+                }
+                let config = DynamicIndexConfig { candidate_limit: limit, ..Default::default() };
+                let builder = fresh_builder().index_config(config);
+                let diverged = diverging_splits(&builder, &base, &mut rng, 6);
+                assert_eq!(diverged, 0, "seed {seed}, candidate_limit {limit}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_is_lossless_under_stop_threshold_drift() {
+        // A low stop floor with skewed word frequencies: as `n` grows,
+        // `max(0.2·n, 5)` sweeps across the document frequencies, so terms
+        // flip between stop and non-stop without new records carrying them.
+        let words = [
+            "north", "river", "lodge", "cafe", "grill", "tavern", "bistro", "diner", "house",
+            "garden", "palace", "corner",
+        ];
+        // Seeds on which refreshing only rule-1 entries diverges in 9 of
+        // the 16 splits.
+        for seed in [2, 7] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut base: Vec<Vec<String>> = Vec::new();
+            for i in 0..84 {
+                // Squaring a uniform draw skews towards the first words.
+                let pick = |rng: &mut StdRng| {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    words[((u * u) * words.len() as f64) as usize]
+                };
+                let (a, b) = (pick(&mut rng), pick(&mut rng));
+                base.push(vec![format!("{a} {b} {:02}", i % 29)]);
+            }
+            let config = DynamicIndexConfig { stop_df_floor: 5, ..Default::default() };
+            let builder = fresh_builder().index_config(config);
+            assert_eq!(diverging_splits(&builder, &base, &mut rng, 8), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn catch_up_equals_an_independent_insert_batch() {
+        // Two states alternate the way the service's epoch sides do: one
+        // computes each batch and the other copies the results. Both must
+        // equal a third state that computes every batch itself.
+        let batches: Vec<Vec<Vec<String>>> = (0..6)
+            .map(|b| {
+                (0..11)
+                    .map(|i| {
+                        let e = (b * 11 + i) % 13;
+                        let v = if i % 3 == 1 {
+                            format!("twin entity {e:02} sigmaa")
+                        } else {
+                            format!("twin entity {e:02} sigma")
+                        };
+                        vec![v]
+                    })
+                    .collect()
+            })
+            .collect();
+        for key in [None, Some(CollapseKey::RecordString), Some(CollapseKey::ExactFields)] {
+            for parallelism in [Parallelism::sequential(), Parallelism::threads(2)] {
+                let builder =
+                    fresh_builder().collapse(key).parallelism(parallelism).pair_cache_capacity(256);
+                let (mut a, mut b) = builder.clone().build_twins().unwrap();
+                assert!(a.shares_pair_cache_with(&b));
+                let mut solo = builder.build().unwrap();
+                for batch in &batches {
+                    let (stats, refreshed) = a.apply_batch(batch.clone());
+                    b.catch_up(batch.clone(), &a, &refreshed);
+                    assert_eq!(stats, solo.insert_batch(batch.clone()), "{key:?}");
+                    for state in [&a, &b] {
+                        assert_eq!(state.nn_reln(), solo.nn_reln(), "{key:?}");
+                        assert_eq!(state.partition(), solo.partition(), "{key:?}");
+                        assert_eq!(state.len(), solo.len(), "{key:?}");
+                        assert_eq!(state.records(), solo.records(), "{key:?}");
+                    }
+                    b.assert_twin_of(&a);
+                    std::mem::swap(&mut a, &mut b);
+                }
+                for probe in ["twin entity 04 sigma", "twin entity 07 sigmaa", "no such thing"] {
+                    let (n, ng, _) = solo.query_record(&[probe]);
+                    for state in [&a, &b] {
+                        let (n_state, ng_state, _) = state.query_record(&[probe]);
+                        assert_eq!((n_state, ng_state), (n.clone(), ng), "{key:?}: {probe:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -24,9 +24,17 @@
 //!    *retry* around a writer, the left-right pair gives readers an
 //!    untouched side to finish on, so a read never waits on an in-progress
 //!    rebuild (see `DESIGN.md` §7.9 for the full argument).
-//!    `insert_batch` is deterministic, so applying the same batch to both
-//!    sides keeps them bit-identical — which is what makes drain-identity
+//!    Each batch is computed **once**: the stale side admits the same
+//!    records and copies the entries the batch refreshed, plus the
+//!    partition, from the freshly published side
+//!    (`IncrementalDedup::catch_up`). The two sides share one pair
+//!    cache and stay bit-identical, which is what makes drain-identity
 //!    testable.
+//!
+//!    A panic inside the writer (say, in a `Distance`) ends ingest but not
+//!    the service: queries keep answering from the last published epoch,
+//!    [`DedupService::drain`] returns, and submissions fail with
+//!    [`ServiceError::WriterFailed`].
 //!
 //! 3. **Observability.** Global [`fuzzydedup_metrics`] counters (the
 //!    `service` section of `RunMetrics`), per-service atomics surfaced via
@@ -41,7 +49,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use fuzzydedup_metrics::{incr, Counter, ServiceMetrics};
@@ -104,8 +112,9 @@ impl<T> Clone for EpochReader<T> {
 /// Create a left-right epoch pair over two *identical* states.
 ///
 /// The caller promises `left` and `right` start out equivalent; every
-/// [`EpochWriter::publish_with`] call applies the same mutation to both, so
-/// they stay equivalent and readers may be served from either side.
+/// [`EpochWriter::publish_with`] call mutates one side and then brings the
+/// other level with it, so they stay equivalent and readers may be served
+/// from either side.
 pub fn epoch_pair<T>(left: T, right: T) -> (EpochWriter<T>, EpochReader<T>) {
     let inner = Arc::new(EpochInner {
         epoch: AtomicU64::new(0),
@@ -154,16 +163,24 @@ impl<T> EpochReader<T> {
 }
 
 impl<T> EpochWriter<T> {
-    /// Apply a mutation to both sides and publish it; returns the new
-    /// epoch. `apply` is called exactly twice — once per side — and must be
-    /// deterministic for the sides to stay equivalent.
+    /// Publish a mutation; returns the new epoch.
     ///
-    /// Readers are never blocked: the first application runs on the
-    /// inactive slot while reads proceed on the active one; the flip is a
-    /// single atomic store. The *writer* briefly waits for stragglers (a
-    /// reader mid-closure on a slot it is about to touch) — backpressure
-    /// lands on the ingest path, where it belongs.
-    pub fn publish_with(&mut self, mut apply: impl FnMut(&mut T)) -> u64 {
+    /// `apply` runs once, on the inactive slot, while reads proceed on the
+    /// active one; the epoch then flips with a single atomic store. Once
+    /// the readers still pinned to the old slot have left, `catch_up`
+    /// receives that now-stale slot, the just-published one, and `apply`'s
+    /// result, and must make the stale slot equal to the published one —
+    /// by copying results, or by re-running a deterministic `apply`.
+    ///
+    /// Readers are never blocked. The *writer* briefly waits for
+    /// stragglers (a reader mid-closure on a slot it is about to touch) —
+    /// backpressure lands on the ingest path, where it belongs. During
+    /// `catch_up` the writer only reads the published slot, as readers do.
+    pub fn publish_with<R>(
+        &mut self,
+        apply: impl FnOnce(&mut T) -> R,
+        catch_up: impl FnOnce(&mut T, &T, R),
+    ) -> u64 {
         let e = self.inner.epoch.load(Ordering::SeqCst);
         let inactive = ((e + 1) & 1) as usize;
         // Stragglers from epoch e-1 may still be inside the inactive slot
@@ -173,7 +190,7 @@ impl<T> EpochWriter<T> {
         }
         // SAFETY: epoch parity routes all new readers to the other slot,
         // and the spin above drained the old ones.
-        apply(unsafe { &mut *self.inner.slots[inactive].get() });
+        let result = apply(unsafe { &mut *self.inner.slots[inactive].get() });
         self.inner.epoch.store(e + 1, Ordering::SeqCst);
         // Bring the previously active side up to date for the next cycle;
         // wait out readers still pinned to it.
@@ -182,8 +199,11 @@ impl<T> EpochWriter<T> {
             std::hint::spin_loop();
         }
         // SAFETY: no reader is registered on `old` and new readers go to
-        // the published side.
-        apply(unsafe { &mut *self.inner.slots[old].get() });
+        // the published side, which everyone — this writer included —
+        // only reads until the next call.
+        let (stale, published) =
+            unsafe { (&mut *self.inner.slots[old].get(), &*self.inner.slots[inactive].get()) };
+        catch_up(stale, published, result);
         e + 1
     }
 }
@@ -268,6 +288,9 @@ pub enum ServiceError {
     InvalidConfig(String),
     /// The underlying incremental state failed to build.
     Build(DedupError),
+    /// The writer thread panicked; the service admits nothing more, but
+    /// queries keep answering from the last published epoch.
+    WriterFailed,
 }
 
 impl fmt::Display for ServiceError {
@@ -279,6 +302,7 @@ impl fmt::Display for ServiceError {
             Self::ShuttingDown => write!(f, "service is shutting down"),
             Self::InvalidConfig(why) => write!(f, "invalid service configuration: {why}"),
             Self::Build(_) => write!(f, "failed to build the incremental dedup state"),
+            Self::WriterFailed => write!(f, "the service writer thread failed"),
         }
     }
 }
@@ -349,7 +373,22 @@ struct QueueState {
     /// The writer is applying an admitted batch (pending may be empty while
     /// records are still becoming visible — drain must wait this out).
     in_flight: bool,
+    /// The writer died; pending records will never be admitted.
+    writer_failed: bool,
     depth_high_water: usize,
+}
+
+impl QueueState {
+    /// Why a submission is refused, if it is.
+    fn refusal(&self) -> Option<ServiceError> {
+        if self.writer_failed {
+            Some(ServiceError::WriterFailed)
+        } else if self.shutdown {
+            Some(ServiceError::ShuttingDown)
+        } else {
+            None
+        }
+    }
 }
 
 struct ServiceShared {
@@ -434,21 +473,21 @@ pub struct DedupService<D: Distance + Clone + 'static> {
 
 impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Start a service over an empty incremental state described by
-    /// `builder`. The builder is built twice — once per epoch-pair side —
-    /// which is why `D: Clone`.
+    /// `builder`. The builder is built twice — once per epoch-pair side,
+    /// sharing one pair cache — which is why `D: Clone`.
     pub fn spawn(
         builder: IncrementalDedupBuilder<D>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         config.validate()?;
-        let left = builder.clone().build()?;
-        let right = builder.build()?;
+        let (left, right) = builder.build_twins()?;
         let (writer_handle, reader) = epoch_pair(left, right);
         let shared = Arc::new(ServiceShared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 shutdown: false,
                 in_flight: false,
+                writer_failed: false,
                 depth_high_water: 0,
             }),
             work: Condvar::new(),
@@ -476,8 +515,8 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Submit one record for admission; fails fast when the queue is full.
     pub fn submit(&self, record: Vec<String>) -> Result<(), ServiceError> {
         let mut q = self.shared.queue.lock().unwrap();
-        if q.shutdown {
-            return Err(ServiceError::ShuttingDown);
+        if let Some(refused) = q.refusal() {
+            return Err(refused);
         }
         if q.pending.len() >= self.config.queue_capacity {
             self.shared.queue_rejections.fetch_add(1, Ordering::Relaxed);
@@ -496,8 +535,8 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     pub fn submit_wait(&self, record: Vec<String>) -> Result<(), ServiceError> {
         let mut q = self.shared.queue.lock().unwrap();
         loop {
-            if q.shutdown {
-                return Err(ServiceError::ShuttingDown);
+            if let Some(refused) = q.refusal() {
+                return Err(refused);
             }
             if q.pending.len() < self.config.queue_capacity {
                 q.pending.push_back(record);
@@ -542,10 +581,12 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         self.reader.clone()
     }
 
-    /// Block until every record submitted so far is visible to queries.
+    /// Block until every record submitted so far is visible to queries,
+    /// or until the writer has failed (then the records still pending
+    /// never become visible; see [`ServiceError::WriterFailed`]).
     pub fn drain(&self) {
         let mut q = self.shared.queue.lock().unwrap();
-        while !q.pending.is_empty() || q.in_flight {
+        while (!q.pending.is_empty() || q.in_flight) && !q.writer_failed {
             q = self.shared.idle.wait(q).unwrap();
         }
     }
@@ -619,11 +660,36 @@ impl<D: Distance + Clone + 'static> Drop for DedupService<D> {
     }
 }
 
+/// Armed for the writer's lifetime: if the writer unwinds, nothing would
+/// otherwise clear `in_flight` or wake the waiters, so `drain` and
+/// `submit_wait` would park forever. On unwind it marks the queue shut and
+/// the writer failed, and wakes everyone.
+struct WriterExitGuard<'a> {
+    shared: &'a ServiceShared,
+}
+
+impl Drop for WriterExitGuard<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.in_flight = false;
+        q.shutdown = true;
+        q.writer_failed = true;
+        drop(q);
+        self.shared.idle.notify_all();
+        self.shared.space.notify_all();
+        self.shared.work.notify_all();
+    }
+}
+
 fn writer_loop<D: Distance + Clone + 'static>(
     mut writer: EpochWriter<IncrementalDedup<D>>,
     shared: Arc<ServiceShared>,
     admit_batch_size: usize,
 ) {
+    let _exit_guard = WriterExitGuard { shared: &shared };
     loop {
         let batch: Vec<Vec<String>> = {
             let mut q = shared.queue.lock().unwrap();
@@ -644,22 +710,24 @@ fn writer_loop<D: Distance + Clone + 'static>(
         shared.space.notify_all();
 
         let n_records = batch.len() as u64;
-        // Canonical keys of the duplicate groups after this batch, captured
-        // from the first (published-next) application.
-        let mut group_keys: Option<Vec<u64>> = None;
-        let epoch = writer.publish_with(|state| {
-            state.insert_batch(batch.iter().cloned());
-            if group_keys.is_none() {
-                group_keys = Some(
-                    state
-                        .partition()
-                        .groups()
-                        .iter()
-                        .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
-                        .collect(),
-                );
-            }
-        });
+        // Canonical keys of the duplicate groups after this batch, taken
+        // from the side that computed it.
+        let mut group_keys: Vec<u64> = Vec::new();
+        let epoch = writer.publish_with(
+            |state| {
+                let (_, refreshed) = state.apply_batch(batch.iter().cloned());
+                group_keys = state
+                    .partition()
+                    .groups()
+                    .iter()
+                    .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
+                    .collect();
+                refreshed
+            },
+            |stale, published, refreshed| {
+                stale.catch_up(batch.iter().cloned(), published, &refreshed);
+            },
+        );
 
         shared.batches_admitted.fetch_add(1, Ordering::Relaxed);
         shared.records_admitted.fetch_add(n_records, Ordering::Relaxed);
@@ -667,9 +735,9 @@ fn writer_loop<D: Distance + Clone + 'static>(
         incr(Counter::ServiceBatchesAdmitted, 1);
         incr(Counter::ServiceRecordsAdmitted, n_records);
         incr(Counter::ServiceEpochsPublished, 1);
-        if let Some(keys) = group_keys {
+        {
             let mut distinct = shared.distinct.lock().unwrap();
-            for key in keys {
+            for key in group_keys {
                 distinct.observe(key);
             }
         }
@@ -709,36 +777,58 @@ mod tests {
             .collect()
     }
 
+    /// A `catch_up` for plain values: copy the published side, after
+    /// checking that `apply` handed over what it published.
+    fn copy_published(stale: &mut u64, published: &u64, applied: u64) {
+        assert_eq!(*published, applied, "catch_up must receive the published value");
+        *stale = *published;
+    }
+
     #[test]
     fn epoch_pair_reads_latest_published_value() {
         let (mut w, r) = epoch_pair(0u64, 0u64);
         assert_eq!(r.read(|e, v| (e, *v)), (0, 0));
-        let e = w.publish_with(|v| *v += 7);
+        let e = w.publish_with(
+            |v| {
+                *v += 7;
+                *v
+            },
+            copy_published,
+        );
         assert_eq!(e, 1);
         assert_eq!(r.read(|e, v| (e, *v)), (1, 7));
-        w.publish_with(|v| *v += 1);
+        w.publish_with(
+            |v| {
+                *v += 1;
+                *v
+            },
+            copy_published,
+        );
         assert_eq!(r.read(|_, v| *v), 8);
+        // The stale side was caught up too: the next apply starts from 8.
+        w.publish_with(|v| *v, copy_published);
+        assert_eq!(r.read(|e, v| (e, *v)), (3, 8));
     }
 
     #[test]
     fn epoch_pair_reader_is_wait_free_during_rebuild() {
-        // Block the writer mid-apply (first application, inactive slot) and
-        // prove a reader still completes against the published side.
+        // Block the writer mid-apply (inactive slot) and prove a reader
+        // still completes against the published side.
         let (mut w, r) = epoch_pair(1u64, 1u64);
         let entered = Arc::new(Barrier::new(2));
         let release = Arc::new(Barrier::new(2));
         let writer = {
             let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
             std::thread::spawn(move || {
-                let mut first = true;
-                w.publish_with(|v| {
-                    if first {
-                        first = false;
+                w.publish_with(
+                    |v| {
                         entered.wait(); // writer is now inside the rebuild
                         release.wait(); // ... and stays there until released
-                    }
-                    *v = 2;
-                });
+                        *v = 2;
+                        *v
+                    },
+                    copy_published,
+                );
             })
         };
         entered.wait();
@@ -761,7 +851,13 @@ mod tests {
         assert!(panicked.is_err());
         // The reader count was released by the guard: the writer neither
         // deadlocks nor observes a phantom reader.
-        w.publish_with(|v| *v += 1);
+        w.publish_with(
+            |v| {
+                *v += 1;
+                *v
+            },
+            copy_published,
+        );
         assert_eq!(r.read(|_, v| *v), 6);
     }
 
@@ -780,6 +876,10 @@ mod tests {
 
         let bad = ServiceError::InvalidConfig("admit_batch_size must be >= 1".into());
         assert!(bad.to_string().contains("invalid service configuration"));
+
+        let failed = ServiceError::WriterFailed;
+        assert_eq!(failed.to_string(), "the service writer thread failed");
+        assert!(failed.source().is_none());
     }
 
     #[test]
@@ -889,6 +989,91 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.records_admitted, records.len() as u64);
         assert_eq!(stats.corpus_len, records.len());
+        service.shutdown();
+    }
+
+    /// Both epoch slots of a service whose writer has exited.
+    fn both_slots<D: Distance + Clone + 'static>(
+        service: &DedupService<D>,
+    ) -> (&IncrementalDedup<D>, &IncrementalDedup<D>) {
+        assert!(service.writer.is_none(), "read both slots only after shutdown");
+        let inner = &service.reader.inner;
+        // SAFETY: the writer thread has been joined, so nothing mutates
+        // either slot any more.
+        unsafe { (&*inner.slots[0].get(), &*inner.slots[1].get()) }
+    }
+
+    #[test]
+    fn drained_epoch_slots_are_bit_identical() {
+        for key in [None, Some(crate::collapse::CollapseKey::RecordString)] {
+            let mut service = DedupService::spawn(
+                builder().collapse(key).pair_cache_capacity(1 << 10),
+                ServiceConfig::new().admit_batch_size(7),
+            )
+            .unwrap();
+            for r in corpus(60) {
+                service.submit_wait(r).unwrap();
+            }
+            service.drain();
+            service.shutdown();
+            assert!(service.stats().batches_admitted >= 60 / 7);
+            let (left, right) = both_slots(&service);
+            left.assert_twin_of(right);
+            assert!(left.shares_pair_cache_with(right), "{key:?}: one memo for both sides");
+        }
+    }
+
+    /// Edit distance that panics when either side carries a marker — a
+    /// fault injected into the writer's refresh.
+    #[derive(Clone)]
+    struct PanicsOnMarker;
+
+    const MARKER: &str = "poison";
+
+    impl Distance for PanicsOnMarker {
+        fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
+            let marked = |r: &[&str]| r.iter().any(|f| f.contains(MARKER));
+            assert!(!marked(a) && !marked(b), "injected distance fault");
+            EditDistance.distance(a, b)
+        }
+
+        fn name(&self) -> &str {
+            "panics-on-marker"
+        }
+    }
+
+    #[test]
+    fn writer_death_does_not_hang_the_service() {
+        let mut service = DedupService::spawn(
+            IncrementalDedup::builder(PanicsOnMarker).cut(CutSpec::Size(4)).sn_threshold(4.0),
+            ServiceConfig::new().admit_batch_size(4).queue_capacity(2),
+        )
+        .unwrap();
+        let records = corpus(12);
+        for r in records.clone() {
+            service.submit_wait(r).unwrap();
+        }
+        service.drain();
+        let before = service.stats();
+        assert_eq!(before.corpus_len, records.len());
+        // Shares terms with the corpus, so its refresh verifies a pair.
+        service.submit_wait(vec![format!("service entity 001 kappa {MARKER}")]).unwrap();
+        // Must return although the batch never publishes.
+        service.drain();
+        // The queue holds 2: without the failure surfacing, the third
+        // blocking submit would park forever.
+        for i in 0..3 {
+            let late = service.submit_wait(vec![format!("late record {i}")]);
+            assert!(matches!(late, Err(ServiceError::WriterFailed)), "{late:?}");
+        }
+        assert!(matches!(service.submit(vec!["late".into()]), Err(ServiceError::WriterFailed)));
+        // Queries answer from the last published epoch.
+        let fields: Vec<&str> = records[3].iter().map(String::as_str).collect();
+        let answer = service.query(&fields);
+        assert_eq!(answer.epoch, before.epoch);
+        assert_eq!(answer.corpus_len, records.len());
+        assert_eq!(answer.neighbors[0].dist, 0.0);
+        assert_eq!(service.snapshot_partition().0, before.epoch);
         service.shutdown();
     }
 

@@ -9,7 +9,14 @@
 //!
 //! IDF weights shift as the corpus grows; weights are computed from the
 //! current document frequency at query time, so a term that becomes common
-//! automatically loses discrimination power without any rebuild.
+//! automatically loses discrimination power without any rebuild. The same
+//! drift moves answers no appended record touches: a capped candidate set
+//! can re-rank, and a term can cross the stop threshold in either
+//! direction. [`DynamicInvertedIndex::lookup_tracked`] reports which
+//! answers the first effect can reach, and
+//! [`DynamicInvertedIndex::watch_stop_status`] /
+//! [`DynamicInvertedIndex::stop_flipped_ids`] name the records the second
+//! one reaches, so an incremental caller can refresh exactly those.
 
 use std::collections::HashMap;
 
@@ -60,7 +67,7 @@ pub struct DynamicInvertedIndex<D> {
     records: Vec<Vec<String>>,
     distance: D,
     config: DynamicIndexConfig,
-    postings: HashMap<String, Vec<u32>>,
+    postings: HashMap<String, Posting>,
     /// Per-record length/gram statistics for the pruning filters.
     meta: Vec<RecordMeta>,
     /// Whether the distance admits the q-gram pruning filters.
@@ -77,6 +84,25 @@ pub struct DynamicInvertedIndex<D> {
     /// ordinary mode); drives query-time IDF weights and stop thresholds
     /// so collapsed-mode lookups see full-corpus statistics.
     n_full: u64,
+    /// Open stop-status watch (see [`Self::watch_stop_status`]).
+    watch: Option<StopWatch>,
+}
+
+/// One term's posting list and its document frequency in full-corpus
+/// units (the list length in ordinary mode; the summed multiplicities of
+/// the listed representatives in collapsed mode).
+#[derive(Default)]
+struct Posting {
+    ids: Vec<u32>,
+    df: u64,
+}
+
+/// Corpus statistics at [`DynamicInvertedIndex::watch_stop_status`]: the
+/// full-corpus count and the prior document frequency of every term
+/// touched since.
+struct StopWatch {
+    n_full: u64,
+    df_before: HashMap<String, u64>,
 }
 
 impl<D: Distance> DynamicInvertedIndex<D> {
@@ -94,6 +120,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             norm,
             mult: None,
             n_full: 0,
+            watch: None,
         }
     }
 
@@ -112,7 +139,10 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         let fields: Vec<&str> = record.iter().map(String::as_str).collect();
         let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
         for (term, _) in ts.terms {
-            self.postings.entry(term).or_default().push(id);
+            self.note_df_change(&term);
+            let posting = self.postings.entry(term).or_default();
+            posting.ids.push(id);
+            posting.df += 1;
         }
         self.meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
         if let Some(norm) = &mut self.norm {
@@ -133,6 +163,70 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         let mult = self.mult.as_mut().expect("note_duplicate requires collapsed mode");
         mult[id as usize] += 1;
         self.n_full += 1;
+        let fields: Vec<&str> = self.records[id as usize].iter().map(String::as_str).collect();
+        let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
+        for (term, _) in ts.terms {
+            self.note_df_change(&term);
+            self.postings.get_mut(&term).expect("indexed term").df += 1;
+        }
+    }
+
+    /// Remember `term`'s document frequency before its first change under
+    /// an open watch.
+    fn note_df_change(&mut self, term: &str) {
+        if let Some(watch) = &mut self.watch {
+            if !watch.df_before.contains_key(term) {
+                let df = self.postings.get(term).map_or(0, |p| p.df);
+                watch.df_before.insert(term.to_string(), df);
+            }
+        }
+    }
+
+    /// The document frequency above which a term is a stop term in a
+    /// corpus of `n` records — the rule every gather applies.
+    fn stop_threshold(&self, n: u64) -> f64 {
+        (self.config.max_df_fraction * n.max(1) as f64).max(f64::from(self.config.stop_df_floor))
+    }
+
+    /// Start a stop-status watch: remember the current corpus statistics
+    /// so that [`Self::stop_flipped_ids`] can later name the records whose
+    /// terms crossed the stop threshold in between. Replaces any open
+    /// watch.
+    pub fn watch_stop_status(&mut self) {
+        self.watch = Some(StopWatch { n_full: self.n_full, df_before: HashMap::new() });
+    }
+
+    /// Close the open watch and return every id posted under a term whose
+    /// stop status differs between the watch's start and now, unsorted
+    /// and possibly repeated (empty when no watch is open).
+    ///
+    /// The stop threshold `max(max_df_fraction · n, stop_df_floor)` moves
+    /// with `n`, so a term can flip without any appended record carrying
+    /// it: untouched terms are rescanned whenever the threshold moved.
+    pub fn stop_flipped_ids(&mut self) -> Vec<u32> {
+        let Some(watch) = self.watch.take() else { return Vec::new() };
+        let (before_max, now_max) =
+            (self.stop_threshold(watch.n_full), self.stop_threshold(self.n_full));
+        let flipped = |term: &str, posting: &Posting| {
+            let before = watch.df_before.get(term).copied().unwrap_or(posting.df);
+            (before as f64 > before_max) != (posting.df as f64 > now_max)
+        };
+        let mut ids = Vec::new();
+        if before_max != now_max {
+            for (term, posting) in &self.postings {
+                if flipped(term, posting) {
+                    ids.extend_from_slice(&posting.ids);
+                }
+            }
+        } else {
+            for term in watch.df_before.keys() {
+                let posting = &self.postings[term];
+                if flipped(term, posting) {
+                    ids.extend_from_slice(&posting.ids);
+                }
+            }
+        }
+        ids
     }
 
     /// Full-corpus record count (equals [`NnIndex::len`] in ordinary mode).
@@ -203,7 +297,8 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     fn gather_terms(&self, ts: &TermSet, exclude: Option<u32>, limit: usize) -> Gathered {
         let (mut scored, mut slack, dropped) = self.generate_terms(ts, exclude, false);
         incr(Counter::StopGramsDropped, dropped);
-        if scored.is_empty() && dropped > 0 {
+        let fell_back = scored.is_empty() && dropped > 0;
+        if fell_back {
             let (rescored, reslack, _) = self.generate_terms(ts, exclude, true);
             scored = rescored;
             slack = reslack;
@@ -217,7 +312,11 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             }
             None => select_top_candidates(&mut scored, limit),
         };
-        Gathered { ids, overlaps, slack, generated }
+        // The cap (weighted budget in collapsed mode) cut by IDF rank, or
+        // the stop-inclusive fallback ran: either way the kept set hangs on
+        // corpus-wide statistics, not only on the records sharing a term.
+        let drifts = fell_back || (ids.len() as u64) < generated;
+        Gathered { ids, overlaps, slack, generated, drifts }
     }
 
     /// One merge pass: scored candidates `(id, weight, shared gram mass)`,
@@ -234,7 +333,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         include_stops: bool,
     ) -> (Vec<(u32, f64, u32)>, u32, u64) {
         let n = self.n_full.max(1) as f64;
-        let max_df = (self.config.max_df_fraction * n).max(f64::from(self.config.stop_df_floor));
+        let max_df = self.stop_threshold(self.n_full);
         let mut slack = 0u32;
         let mut dropped = 0u64;
         let scored = with_scoreboard(|board| {
@@ -243,21 +342,18 @@ impl<D: Distance> DynamicInvertedIndex<D> {
                 board.exclude(id);
             }
             for (term, gram_count) in &ts.terms {
-                let Some(ids) = self.postings.get(term) else { continue };
-                // Collapsed mode: df in full-corpus units — identical
-                // records have identical term sets, so the weighted sum is
-                // exactly the document frequency of the full corpus.
-                let df = match &self.mult {
-                    Some(m) => ids.iter().map(|&i| u64::from(m[i as usize])).sum::<u64>() as f64,
-                    None => ids.len() as f64,
-                };
+                let Some(posting) = self.postings.get(term) else { continue };
+                // Full-corpus units in collapsed mode: identical records
+                // have identical term sets, so counting a representative's
+                // duplicates is exactly the full corpus's frequency.
+                let df = posting.df as f64;
                 if !include_stops && df > max_df {
                     slack += gram_count;
                     dropped += 1;
                     continue;
                 }
                 let weight = (1.0 + n / df).ln();
-                for &other in ids {
+                for &other in &posting.ids {
                     board.add(other, weight, *gram_count);
                 }
             }
@@ -355,6 +451,46 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         lookup_from_verified(survivors, gathered.generated, attempted, spec, p, weights.as_ref())
     }
 
+    /// [`NnIndex::lookup_cached`] plus whether the answer can change with
+    /// corpus statistics alone, i.e. without any appended record sharing a
+    /// non-stop term with `id`: the candidate cap (or, collapsed, the
+    /// weighted budget) cut the gathered set by IDF rank, and IDF moves
+    /// with `n`; or the gather fell back to stop-inclusive terms. Answers
+    /// without the flag change only when a record sharing a non-stop term
+    /// arrives or a term of `id` crosses the stop threshold
+    /// ([`Self::stop_flipped_ids`]).
+    pub fn lookup_tracked(
+        &self,
+        id: u32,
+        spec: LookupSpec,
+        p: f64,
+        cache: Option<&dyn PairDistanceCache>,
+    ) -> (Vec<Neighbor>, f64, LookupCost, bool) {
+        let gathered = self.gather(id, self.config.candidate_limit);
+        let filter = self.make_filter(id, &gathered);
+        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
+        let (verified, attempted) = verify_candidates_bounded(
+            &self.distance,
+            self.record_view(),
+            id,
+            &gathered.ids,
+            spec,
+            p,
+            weights.as_ref(),
+            filter.as_ref(),
+            cache,
+        );
+        let (neighbors, ng, cost) = lookup_from_verified(
+            verified,
+            gathered.generated,
+            attempted,
+            spec,
+            p,
+            weights.as_ref(),
+        );
+        (neighbors, ng, cost, gathered.drifts)
+    }
+
     fn answer(&self, id: u32, spec: LookupSpec) -> Vec<Neighbor> {
         let gathered = self.gather(id, self.config.candidate_limit);
         let filter = self.make_filter(id, &gathered);
@@ -379,6 +515,8 @@ struct Gathered {
     overlaps: Vec<u32>,
     slack: u32,
     generated: u64,
+    /// The kept set depends on corpus statistics (see `gather_terms`).
+    drifts: bool,
 }
 
 impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
@@ -410,21 +548,8 @@ impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
         p: f64,
         cache: Option<&dyn PairDistanceCache>,
     ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let gathered = self.gather(id, self.config.candidate_limit);
-        let filter = self.make_filter(id, &gathered);
-        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
-        let (verified, attempted) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            spec,
-            p,
-            weights.as_ref(),
-            filter.as_ref(),
-            cache,
-        );
-        lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
+        let (neighbors, ng, cost, _) = self.lookup_tracked(id, spec, p, cache);
+        (neighbors, ng, cost)
     }
 }
 
