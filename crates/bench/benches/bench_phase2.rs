@@ -1,37 +1,22 @@
-//! Criterion bench: Phase 2 partitioning — the sequential in-memory scan
-//! vs the component-parallel scan at 4 workers (the tentpole claim of the
-//! parallel-Phase-2 PR), plus the SQL-shaped relational path and the
+//! Criterion bench: Phase 2 partitioning — the in-memory greedy scan on
+//! a 10k-record Org corpus, plus the SQL-shaped relational path and the
 //! single-linkage baseline on a smaller corpus for context.
 //!
-//! Emits `results/BENCH_phase2.json`. The committed baseline backs the
-//! acceptance claim that `partition_entries_parallel` at 4 threads beats
-//! `partition_entries` on a 10k-record Org corpus, and the
-//! bench-regression gate (`ci_bench_gate`) watches both paths for
-//! slowdowns.
-//!
-//! Measurement context (recorded so the baseline is interpretable): the CI
-//! container exposes **one** CPU to the process, so none of the measured
-//! gap can come from actual thread concurrency — what the baseline shows
-//! is the *algorithmic* win of the materialized CS-pair structure
-//! (`CsPairGraph`, the in-memory `CSPairs` table of §5): back-rank /
-//! anchor-mask pruning lets the parallel path skip candidate group sizes
-//! without allocating prefix sets, roughly halving Phase 2 even on one
-//! core (~1.6× on this host). On a genuinely multi-core host the
-//! cost-balanced component sharding stacks on top of that for the greedy
-//! scan portion; the build itself is serial (see DESIGN.md §7.4 for the
-//! shard-balance numbers that bound the extra speedup).
+//! Emits `results/BENCH_phase2.json`; the bench-regression gate
+//! (`ci_bench_gate`) watches every row for slowdowns.
 //!
 //! Phase 1 (index build + NN materialization) runs once as setup; the
-//! measured region is exactly the partitioning work, including the
-//! parallel path's component extraction and scheduling overhead — the
-//! speedup is end-to-end for Phase 2, not just the sharded scan.
+//! measured region is exactly the partitioning work. Phase 2 is a small
+//! share of an end-to-end run, which is why it stays sequential
+//! (DESIGN.md §7.4); its end-to-end cost is tracked by the `org_ed`
+//! workload of the repository benchmark (`perfbench/`).
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fuzzydedup_core::{
-    compute_nn_reln, partition_entries, partition_entries_parallel, partition_via_tables,
-    single_linkage, Aggregation, CutSpec, NeighborSpec,
+    compute_nn_reln, partition_entries, partition_via_tables, single_linkage, Aggregation, CutSpec,
+    NeighborSpec,
 };
 use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig, LookupOrder};
@@ -40,13 +25,11 @@ use fuzzydedup_textdist::{DistanceKind, EditDistance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Corpus for the seq-vs-parallel comparison: large enough that Phase 2
-/// dwarfs thread-spawn + component-extraction overhead.
+/// Corpus for the in-memory scan.
 const CORPUS: usize = 10_000;
 
 /// Neighbors per NN list: more prefix work per tuple than the default
-/// K = 5 cut, so the greedy CS/SN checks (the parallelizable part)
-/// dominate the union-find bookkeeping.
+/// K = 5 cut, so the greedy CS/SN checks dominate.
 const K: usize = 8;
 
 fn bench_phase2(c: &mut Criterion) {
@@ -65,17 +48,10 @@ fn bench_phase2(c: &mut Criterion) {
     let (reln, _) = compute_nn_reln(&index, NeighborSpec::TopK(K), LookupOrder::Sequential, 2.0);
     let cut = CutSpec::Size(K);
 
-    // Sanity: both paths agree before we time them.
-    let seq = partition_entries(&reln, cut, Aggregation::Max, 4.0);
-    assert_eq!(seq, partition_entries_parallel(&reln, cut, Aggregation::Max, 4.0, 4));
-
     let mut group = c.benchmark_group("phase2");
     group.sample_size(10);
     group.bench_function("seq", |b| {
         b.iter(|| black_box(partition_entries(&reln, cut, Aggregation::Max, 4.0)))
-    });
-    group.bench_function("par4", |b| {
-        b.iter(|| black_box(partition_entries_parallel(&reln, cut, Aggregation::Max, 4.0, 4)))
     });
 
     // --- Context rows on a smaller corpus (the relational path is table

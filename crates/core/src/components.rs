@@ -1,16 +1,11 @@
-//! Connected components of the CS-pair graph, and cost-balanced sharding
-//! of components over worker threads.
+//! Connected components of the `CSPairs` graph.
 //!
 //! Phase 2 only ever emits groups that are *cliques* in the mutual-
 //! neighbor ("CS-pair") graph: a compact set `S` requires every member's
 //! `|S|`-nearest-neighbor set to equal `S`, so any two members are mutual
-//! neighbors. Every candidate group therefore lies inside one connected
-//! component of that graph, and the greedy partitioner's decisions in one
-//! component never depend on another component's state — the basis of the
-//! component-parallel Phase 2 (`DESIGN.md` §7.4). This module holds the
-//! shared machinery: a union-find over pair edges, component extraction in
-//! canonical (min-id) order, and a deterministic greedy cost balancer that
-//! assigns components to a fixed number of worker shards.
+//! neighbors. The relational Phase 2 ([`crate::phase2::partition_via_tables`])
+//! groups its `CSPairs` rows into the connected components of that graph
+//! with the union-find below and extracts them in canonical (min-id) order.
 
 /// Union-find (disjoint-set forest) over ids `0..n`, with union by rank
 /// and path halving.
@@ -82,26 +77,6 @@ impl UnionFind {
     }
 }
 
-/// Deterministically assign `components` (given per-component costs) to
-/// `shards` buckets, balancing total cost: longest-processing-time greedy —
-/// components in descending cost order (ties broken by index), each placed
-/// on the currently lightest shard (ties broken by shard index). Returns
-/// one `Vec` of component indexes per shard; empty shards are possible
-/// when there are fewer components than shards.
-pub fn balance_components(costs: &[u64], shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.max(1);
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut loads: Vec<u64> = vec![0; shards];
-    for i in order {
-        let lightest = (0..shards).min_by_key(|&s| (loads[s], s)).expect("shards >= 1");
-        loads[lightest] += costs[i].max(1);
-        buckets[lightest].push(i);
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,34 +111,5 @@ mod tests {
     #[test]
     fn empty_universe() {
         assert!(UnionFind::new(0).components().is_empty());
-    }
-
-    #[test]
-    fn balance_is_deterministic_and_covers_all() {
-        let costs = [10, 1, 7, 7, 2, 30];
-        let shards = balance_components(&costs, 3);
-        assert_eq!(shards.len(), 3);
-        let mut seen: Vec<usize> = shards.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        // LPT: 30 goes first to shard 0, 10 to shard 1, 7 to shard 2,
-        // the second 7 to shard 1 or 2 (lightest), etc. Re-running is
-        // byte-identical.
-        assert_eq!(shards, balance_components(&costs, 3));
-        assert_eq!(shards[0][0], 5, "heaviest component starts shard 0");
-    }
-
-    #[test]
-    fn balance_with_more_shards_than_components() {
-        let shards = balance_components(&[3, 1], 8);
-        assert_eq!(shards.len(), 8);
-        assert_eq!(shards.iter().filter(|b| !b.is_empty()).count(), 2);
-    }
-
-    #[test]
-    fn balance_with_zero_shards_clamps_to_one() {
-        let shards = balance_components(&[5, 5], 0);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].len(), 2);
     }
 }

@@ -46,13 +46,11 @@
 //!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`],
-//! per-phase parallelism included.
+//! parallelism included.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_nnindex::{
     DynamicIndexConfig, DynamicInvertedIndex, LookupCost, LookupSpec, NnIndex, PairDistanceCache,
 };
@@ -63,10 +61,10 @@ use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
 use crate::nnreln::{NnEntry, NnReln};
 use crate::pair_cache::PairCache;
-use crate::parallel::resolve_threads;
+use crate::parallel::{resolve_threads, work_stealing_map};
 use crate::partition::Partition;
 use crate::phase1::NeighborSpec;
-use crate::phase2::{partition_entries, partition_entries_parallel};
+use crate::phase2::partition_entries;
 use crate::pipeline::{DedupError, Parallelism};
 use crate::problem::CutSpec;
 
@@ -85,7 +83,7 @@ pub struct BatchStats {
 /// [`crate::pipeline::DedupConfig`] surface on the incremental path.
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
-/// `c = 4`, `p = 2`, no pair cache, both phases sequential,
+/// `c = 4`, `p = 2`, no pair cache, sequential refreshes,
 /// and [`DynamicIndexConfig::default`] for the index.
 ///
 /// ```no_run
@@ -174,11 +172,11 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         self
     }
 
-    /// Per-phase worker-thread counts, as on the batch pipeline: entry
-    /// refreshes shard over `phase1_threads` workers and the partition
-    /// recompute over `phase2_threads`. Results are identical to the
-    /// sequential drive either way — every entry is an independent
-    /// lookup (see [`crate::parallel`]).
+    /// Worker threads, as on the batch pipeline: entry refreshes spread
+    /// over `phase1_threads` workers, and the partition recompute stays
+    /// sequential. Results are identical to the sequential drive either
+    /// way — every entry is an independent lookup (see
+    /// [`crate::parallel`]).
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -431,34 +429,10 @@ impl<D: Distance> IncrementalDedup<D> {
             }
             return;
         }
-        // Work-stealing over fixed blocks of the refresh list — the same
-        // dispenser as parallel Phase 1 (duplicate-dense entries verify
-        // far more candidates than sparse ones, so static sharding
-        // strands workers).
-        let slots: Vec<OnceLock<(NnEntry, bool)>> = ids.iter().map(|_| OnceLock::new()).collect();
-        let block = ids.len().div_ceil(threads * 8).clamp(1, 1024);
-        let n_blocks = ids.len().div_ceil(block);
-        let next_block = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let (slots, next_block, lookup) = (&slots, &next_block, &lookup);
-                scope.spawn(move || loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
-                        break;
-                    }
-                    incr(Counter::Phase1StealBlocks, 1);
-                    let start = b * block;
-                    let end = (start + block).min(ids.len());
-                    for (i, &id) in ids.iter().enumerate().take(end).skip(start) {
-                        let claimed = slots[i].set(lookup(id)).is_ok();
-                        debug_assert!(claimed, "id {id} computed twice");
-                    }
-                });
-            }
-        });
-        for (slot, &id) in slots.into_iter().zip(ids) {
-            let (entry, drifts) = slot.into_inner().expect("all ids computed");
+        // The same work-stealing loop as parallel Phase 1: duplicate-dense
+        // entries verify far more candidates than sparse ones.
+        let (computed, _) = work_stealing_map(ids.len(), threads, |i, _: &mut ()| lookup(ids[i]));
+        for ((entry, drifts), &id) in computed.into_iter().zip(ids) {
             self.entries[id as usize] = entry;
             self.drifts[id as usize] = drifts;
         }
@@ -507,10 +481,7 @@ impl<D: Distance> IncrementalDedup<D> {
 
         // Phase 2 from scratch (cheap), over the full-corpus relation.
         let reln = self.full_reln();
-        self.partition = match self.parallelism.phase2_threads {
-            None => partition_entries(&reln, self.cut, self.agg, self.c),
-            Some(n) => partition_entries_parallel(&reln, self.cut, self.agg, self.c, n),
-        };
+        self.partition = partition_entries(&reln, self.cut, self.agg, self.c);
         (BatchStats { inserted, refreshed: affected.len() }, refresh)
     }
 

@@ -73,7 +73,7 @@ pub mod threshold;
 pub use baseline::{single_linkage, star_componentize};
 pub use blocking::{blocked_single_linkage, BlockingKey};
 pub use collapse::{CollapseKey, CollapseMap};
-pub use components::{balance_components, UnionFind};
+pub use components::UnionFind;
 pub use criteria::{is_compact_set, sparse_neighborhood_ok, Aggregation};
 pub use distinct::DistinctEstimator;
 pub use eval::{evaluate, evaluate_bcubed, BCubed, PrecisionRecall};
@@ -84,10 +84,7 @@ pub use pair_cache::PairCache;
 pub use parallel::{compute_nn_reln_parallel, compute_nn_reln_parallel_cached, resolve_threads};
 pub use partition::Partition;
 pub use phase1::{compute_nn_reln, compute_nn_reln_cached, NeighborSpec, Phase1Stats};
-pub use phase2::{
-    cs_pair_components, partition_entries, partition_entries_ablation, partition_entries_parallel,
-    partition_via_tables,
-};
+pub use phase2::{partition_entries, partition_entries_ablation, partition_via_tables};
 pub use pipeline::{DedupConfig, DedupError, DedupOutcome, Deduplicator, IndexChoice, Parallelism};
 pub use problem::CutSpec;
 pub use report::{render_report, ReportOptions};
@@ -96,4 +93,4 @@ pub use service::{
     ServiceStats,
 };
 pub use spill::{read_nn_reln, spill_nn_reln};
-pub use threshold::{estimate_sn_threshold, estimate_sn_threshold_parallel};
+pub use threshold::estimate_sn_threshold;

@@ -4,10 +4,14 @@
 //! its win is *buffer locality* against a disk-resident index. When the
 //! index is memory-resident (the common modern deployment), Phase 1 is
 //! embarrassingly parallel instead: every tuple's NN list is an
-//! independent query. [`compute_nn_reln_parallel`] shards the id space
+//! independent query. [`compute_nn_reln_parallel`] spreads the id space
 //! over scoped threads and produces a result *identical* to the
 //! sequential computation (the NN lists do not depend on lookup order —
 //! the same fact Lemma 1's uniqueness rests on).
+//!
+//! Phase 1 is the only parallel layer: Phase 2 is a cheap function of
+//! `NN_Reln` and runs sequentially (`DESIGN.md` §7.4). Its work-stealing
+//! loop (`work_stealing_map`) also drives the incremental refresh.
 //!
 //! This is an engineering extension beyond the paper; the ablation bench
 //! `bench_phase1` quantifies when it pays off.
@@ -24,7 +28,7 @@ use crate::phase1::{NeighborSpec, Phase1Stats};
 /// Resolve a thread-count knob against the number of work items: `0`
 /// means one thread per available CPU, and the result is clamped to
 /// `[1, n_items.max(1)]` so degenerate inputs never over-spawn. Shared by
-/// the Phase-1 sharder and the Phase-2 component scheduler.
+/// the batch Phase 1 and the incremental refresh.
 pub fn resolve_threads(n_threads: usize, n_items: usize) -> usize {
     let threads = if n_threads == 0 {
         std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
@@ -80,54 +84,17 @@ pub fn compute_nn_reln_parallel_cached(
 ) -> (NnReln, Phase1Stats) {
     assert!(p >= 1.0, "growth multiplier p must be >= 1, got {p}");
     let n = index.len();
-    let threads = resolve_threads(n_threads, n);
-
-    // Work-stealing dispenser over fixed id blocks. Static range sharding
-    // strands workers when lookup costs are skewed (duplicate-dense
-    // neighborhoods verify far more candidates than sparse ones); a
-    // shared cursor keeps every worker busy until the id space drains.
-    // ~8 blocks per worker amortizes the cursor contention while leaving
-    // enough granules to rebalance; the cap keeps tail blocks short on
-    // huge corpora. The result is identical to the sequential drive
-    // regardless of which worker claims which block — every entry is an
-    // independent query.
-    let entries: Vec<OnceLock<NnEntry>> = (0..n).map(|_| OnceLock::new()).collect();
-    let block = n.div_ceil(threads * 8).clamp(1, 1024);
-    let n_blocks = n.div_ceil(block);
-    let next_block = AtomicUsize::new(0);
-    let mut worker_costs: Vec<LookupCost> = vec![LookupCost::default(); threads];
-    std::thread::scope(|scope| {
-        for cost_slot in worker_costs.iter_mut() {
-            let entries = &entries;
-            let next_block = &next_block;
-            scope.spawn(move || {
-                let mut cost = LookupCost::default();
-                loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
-                        break;
-                    }
-                    incr(Counter::Phase1StealBlocks, 1);
-                    let start = b * block;
-                    let end = (start + block).min(n);
-                    for (id, slot) in entries.iter().enumerate().take(end).skip(start) {
-                        let (entry, entry_cost) = compute_entry(index, spec, p, id as u32, cache);
-                        cost.absorb(&entry_cost);
-                        let claimed = slot.set(entry).is_ok();
-                        debug_assert!(claimed, "id {id} computed twice");
-                    }
-                }
-                *cost_slot = cost;
-            });
-        }
-    });
+    let (entries, worker_costs) =
+        work_stealing_map(n, resolve_threads(n_threads, n), |id, cost: &mut LookupCost| {
+            let (entry, entry_cost) = compute_entry(index, spec, p, id as u32, cache);
+            cost.absorb(&entry_cost);
+            entry
+        });
     let mut total = LookupCost::default();
     for cost in &worker_costs {
         total.absorb(cost);
     }
-    let reln = NnReln::new(
-        entries.into_iter().map(|e| e.into_inner().expect("all ids computed")).collect(),
-    );
+    let reln = NnReln::new(entries);
     let stats = Phase1Stats {
         lookups: total.probes,
         fallback_probes: total.fallback_probes,
@@ -135,6 +102,52 @@ pub fn compute_nn_reln_parallel_cached(
         visit_order: Vec::new(),
     };
     (reln, stats)
+}
+
+/// Compute `work(i, state)` for every `i` in `0..n` on `threads` scoped
+/// workers and return the results in index order, plus each worker's
+/// final `state` (a per-worker accumulator, folded by the caller after
+/// the join — never shared while the workers run).
+///
+/// Workers claim fixed blocks of indexes from one shared cursor. Static
+/// range sharding strands workers when costs are skewed
+/// (duplicate-dense neighborhoods verify far more candidates than sparse
+/// ones); the cursor keeps every worker busy until the range drains.
+/// ~8 blocks per worker amortizes the cursor contention while leaving
+/// enough granules to rebalance; the cap keeps tail blocks short on huge
+/// inputs. The result does not depend on which worker claims which block
+/// as long as each `work(i, _)` result is independent of the others —
+/// true of every `NN_Reln` entry.
+pub(crate) fn work_stealing_map<T: Send + Sync, S: Default + Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize, &mut S) -> T + Sync,
+) -> (Vec<T>, Vec<S>) {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let block = n.div_ceil(threads * 8).clamp(1, 1024);
+    let n_blocks = n.div_ceil(block);
+    let next_block = AtomicUsize::new(0);
+    let mut states: Vec<S> = (0..threads).map(|_| S::default()).collect();
+    std::thread::scope(|scope| {
+        for state in states.iter_mut() {
+            let (slots, next_block, work) = (&slots, &next_block, &work);
+            scope.spawn(move || loop {
+                let b = next_block.fetch_add(1, Ordering::Relaxed);
+                if b >= n_blocks {
+                    break;
+                }
+                incr(Counter::Phase1StealBlocks, 1);
+                let start = b * block;
+                let end = (start + block).min(n);
+                for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
+                    let claimed = slot.set(work(i, state)).is_ok();
+                    debug_assert!(claimed, "item {i} computed twice");
+                }
+            });
+        }
+    });
+    let results = slots.into_iter().map(|s| s.into_inner().expect("all items computed")).collect();
+    (results, states)
 }
 
 #[cfg(test)]
@@ -204,97 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn phase2_is_parallel_safe() {
-        // Mirror of the Phase-1 tests above for the component-parallel
-        // partitioner: thread counts {1, 2, 4, 0} must all reproduce the
-        // sequential partition bit-for-bit, across cut shapes and
-        // aggregations.
-        use crate::criteria::Aggregation;
-        use crate::phase2::{partition_entries, partition_entries_parallel};
-        use crate::problem::CutSpec;
-
-        let idx = random_matrix(300, 7);
-        for cut in [
-            CutSpec::Size(3),
-            CutSpec::Size(6),
-            CutSpec::Diameter(15.0),
-            CutSpec::SizeAndDiameter(4, 25.0),
-            CutSpec::Unbounded,
-        ] {
-            let (reln, _) = compute_nn_reln(
-                &idx,
-                NeighborSpec::from_cut(&cut, 300),
-                LookupOrder::Sequential,
-                2.0,
-            );
-            for agg in [Aggregation::Max, Aggregation::Avg, Aggregation::Max2] {
-                for c in [2.5, 6.0] {
-                    let seq = partition_entries(&reln, cut, agg, c);
-                    for threads in [1, 2, 4, 0] {
-                        let par = partition_entries_parallel(&reln, cut, agg, c, threads);
-                        assert_eq!(
-                            seq, par,
-                            "cut={cut:?} agg={agg:?} c={c} threads={threads} diverged"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn phase2_parallel_more_threads_than_components() {
-        use crate::criteria::Aggregation;
-        use crate::phase2::{partition_entries, partition_entries_parallel};
-        use crate::problem::CutSpec;
-
-        // Two tight clusters -> at most a handful of CS-pair components;
-        // 64 workers must leave most shards empty without deadlocking.
-        let points = [1.0, 1.1, 1.2, 50.0, 50.1, 50.2];
-        let idx = MatrixIndex::from_points_1d(&points);
-        let cut = CutSpec::Size(3);
-        let (reln, _) = compute_nn_reln(
-            &idx,
-            NeighborSpec::from_cut(&cut, points.len()),
-            LookupOrder::Sequential,
-            2.0,
-        );
-        let seq = partition_entries(&reln, cut, Aggregation::Max, 6.0);
-        let par = partition_entries_parallel(&reln, cut, Aggregation::Max, 6.0, 64);
-        assert_eq!(seq, par);
-        assert!(par.are_together(0, 1), "{:?}", par.groups());
-    }
-
-    #[test]
-    fn phase2_parallel_single_giant_component() {
-        use crate::criteria::Aggregation;
-        use crate::phase2::{cs_pair_components, partition_entries, partition_entries_parallel};
-        use crate::problem::CutSpec;
-
-        // Degenerate case: one evenly-spaced chain is a single connected
-        // CS-pair component — no parallelism available. The scheduler must
-        // put the whole component on one worker, not deadlock, and still
-        // match the sequential partition exactly.
-        let points: Vec<f64> = (0..120).map(|i| i as f64 * 0.5).collect();
-        let idx = MatrixIndex::from_points_1d(&points);
-        let cut = CutSpec::Unbounded;
-        let (reln, _) = compute_nn_reln(
-            &idx,
-            NeighborSpec::from_cut(&cut, points.len()),
-            LookupOrder::Sequential,
-            2.0,
-        );
-        let comps = cs_pair_components(&reln, cut.max_group_size(points.len()));
-        assert_eq!(comps.len(), 1, "chain must form one giant component");
-        let seq = partition_entries(&reln, cut, Aggregation::Max, 100.0);
-        for threads in [2, 4, 0] {
-            let par = partition_entries_parallel(&reln, cut, Aggregation::Max, 100.0, threads);
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn csr_index_is_parallel_safe() {
+        // Bumps the process-global lookup and pair-cache counters: keep
+        // clear of the tests that assert exact values of them.
+        let _serial = fuzzydedup_metrics::serial_guard();
         // The CSR candidate generator accumulates on a thread-local
         // epoch-stamped scoreboard; parallel workers must produce the
         // byte-identical relation the sequential drive produces.
@@ -329,6 +255,9 @@ mod tests {
 
     #[test]
     fn pair_cache_preserves_determinism_seq_and_par() {
+        // Bumps the process-global lookup and pair-cache counters: keep
+        // clear of the tests that assert exact values of them.
+        let _serial = fuzzydedup_metrics::serial_guard();
         // The soundness contract on `PairDistanceCache`: exact hits carry
         // true distances and `KnownAbove` only skips calls that would be
         // rejected anyway, so the relation must be identical with the
@@ -385,6 +314,9 @@ mod tests {
 
     #[test]
     fn tiny_pair_cache_under_heavy_eviction_is_still_sound() {
+        // Bumps the process-global lookup and pair-cache counters: keep
+        // clear of the tests that assert exact values of them.
+        let _serial = fuzzydedup_metrics::serial_guard();
         // A pathologically small cache (64 slots, constant collisions)
         // exercises the overwrite/eviction path on every store; results
         // must still be bit-identical to the uncached drive.

@@ -1,35 +1,26 @@
 //! Phase 2 — partitioning the relation into compact SN groups (§4.2).
 //!
-//! Three equivalent implementations are provided:
+//! Two equivalent implementations are provided:
 //!
 //! * [`partition_entries`] — the direct in-memory form: process tuples in
 //!   increasing id order; for each unassigned tuple `v`, find the largest
 //!   non-trivial compact SN set anchored at `v` (i.e. whose minimum id is
 //!   `v`) satisfying the cut specification, emit it, and mark its members.
 //!
-//! * [`partition_entries_parallel`] — the component-parallel form: every
-//!   emitted group is a clique in the mutual-neighbor (CS-pair) graph, so
-//!   the greedy partitioner's decisions decompose over that graph's
-//!   connected components. Components are extracted with a union-find,
-//!   cost-balanced over scoped worker threads, processed independently
-//!   (each worker runs the identical greedy over its components' tuples in
-//!   ascending id order), and the collected groups are canonicalized by
-//!   [`Partition::from_groups`] — the output is bit-for-bit identical to
-//!   [`partition_entries`] for every cut/aggregation (`DESIGN.md` §7.4).
-//!
 //! * [`partition_via_tables`] — the paper's SQL-shaped form running on the
 //!   `relation` substrate: unnest the NN lists, equi-join the unnested
 //!   relation with itself to find *mutual* neighbor pairs (`ID < ID2`, each
 //!   in the other's list), compute the `[CS2..CSK]` prefix-equality flags
 //!   into a `CSPairs` table, sort it by `ID` (the CS-group query), extract
-//!   the connected components of the `CSPairs` graph with the same
-//!   union-find as the parallel path, and process each component under its
-//!   minimum id. The paper's observation makes this sound: "each compact
-//!   SN set G ... is grouped under v₁ in the result of CS-group query",
-//!   because set equality is transitive.
+//!   the connected components of the `CSPairs` graph with a union-find,
+//!   and process each component under its minimum id. The paper's
+//!   observation makes this sound: "each compact SN set G ... is grouped
+//!   under v₁ in the result of CS-group query", because set equality is
+//!   transitive.
 //!
-//! `tests` (and the `phase2_equivalence` property suite) assert all three
-//! paths produce identical partitions.
+//! `tests` (and the `phase2_equivalence` property suite) assert both paths
+//! produce identical partitions; the relational path is the paper-shaped
+//! oracle for the in-memory one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,9 +32,9 @@ use fuzzydedup_relation::{
 };
 use fuzzydedup_storage::BufferPool;
 
-use crate::components::{balance_components, UnionFind};
+use crate::components::UnionFind;
 use crate::criteria::{diameter, is_compact_set, sparse_neighborhood_ok, Aggregation};
-use crate::nnreln::{NnEntry, NnReln};
+use crate::nnreln::NnReln;
 use crate::partition::Partition;
 use crate::problem::CutSpec;
 
@@ -55,15 +46,7 @@ pub fn partition_entries(reln: &NnReln, cut: CutSpec, agg: Aggregation, c: f64) 
 /// The greedy group search anchored at `v`: the largest non-trivial
 /// prefix set of `v` whose minimum id is `v`, with no member already
 /// assigned, passing the (optionally ablated) CS and SN criteria and the
-/// diameter cut. Shared verbatim by the sequential, component-parallel and
-/// relational drivers so they cannot drift.
-///
-/// `prune` optionally supplies the materialized CS-pair back ranks
-/// ([`CsPairGraph`]); candidate sizes the graph proves hopeless are then
-/// skipped without allocating a prefix set. The prune is a *necessary*
-/// condition of the min-id and CS checks below, so passing `Some` never
-/// changes the result — it requires `use_cs` (asserted in debug builds),
-/// which every caller that prunes satisfies.
+/// diameter cut.
 #[allow(clippy::too_many_arguments)]
 fn greedy_group_at(
     reln: &NnReln,
@@ -75,26 +58,10 @@ fn greedy_group_at(
     use_cs: bool,
     use_sn: bool,
     assigned: &[bool],
-    prune: Option<&CsPairGraph>,
 ) -> Option<Vec<u32>> {
-    debug_assert!(prune.is_none() || use_cs, "CS-pair pruning presumes the CS criterion");
     let entry = reln.entry(v);
     let upper = max_size.min(entry.neighbors.len() + 1);
-    if let Some(graph) = prune {
-        // Anchor bits are only ever set for sizes ≤ upper (the prefix is
-        // that long) and < 64, so an all-zero mask rules out the whole
-        // tuple in O(1) — unless sizes ≥ 64 are in play, which the mask
-        // cannot speak for.
-        if upper < 64 && graph.anchor[v as usize] == 0 {
-            return None;
-        }
-    }
     for m in (2..=upper).rev() {
-        if let Some(graph) = prune {
-            if !graph.can_anchor(entry, m) {
-                continue; // the min-id or CS check below is doomed
-            }
-        }
         let Some(s) = entry.prefix_set(m) else { continue };
         // v must be the minimum id of the group ("grouped under the
         // tuple with the minimum ID"); larger-anchored sets are found
@@ -146,7 +113,7 @@ pub fn partition_entries_ablation(
             continue;
         }
         if let Some(s) =
-            greedy_group_at(reln, v, max_size, theta, agg, c, use_cs, use_sn, &assigned, None)
+            greedy_group_at(reln, v, max_size, theta, agg, c, use_cs, use_sn, &assigned)
         {
             for &u in &s {
                 assigned[u as usize] = true;
@@ -155,228 +122,6 @@ pub fn partition_entries_ablation(
         }
     }
     Partition::from_groups(n, groups)
-}
-
-/// The materialized CS-pair structure backing the component-parallel path —
-/// the in-memory analogue of the relational `CSPairs` table of §5. Per
-/// tuple `v` it records, for each of `v`'s first `max_size − 1` neighbors
-/// `u` (distance order), the *back rank* of `v` inside `u`'s own prefix:
-/// exactly the information the `CS2..CSK` flags carry, collapsed into one
-/// integer per directed pair. Stored as flat CSR arrays (one allocation
-/// each) so extraction stays cheap relative to the greedy scan it feeds.
-struct CsPairGraph {
-    /// CSR offsets (`n + 1` entries): tuple `v`'s prefix occupies
-    /// `off[v]..off[v + 1]` in `back`.
-    off: Vec<u32>,
-    /// `back[off[v] + j]`: 0-based rank of `v` in the NN list of `v`'s
-    /// `j`-th nearest neighbor, or `u32::MAX` when that neighbor does not
-    /// list `v` in its prefix (the pair is not mutual).
-    back: Vec<u32>,
-    /// Prefix neighbor ids in distance order, CSR-indexed by `off` (a flat
-    /// copy of the first `max_size − 1` entries of each NN list).
-    pref: Vec<u32>,
-    /// Per-tuple *mutuality* bitmask: bit `m` (for `m < 64`) is set iff
-    /// every one of the tuple's first `m − 1` neighbors lists it back
-    /// within their own first `m − 1` — a necessary condition for the
-    /// tuple to be a *member* of any compact set of size `m`.
-    mutual: Vec<u64>,
-    /// Per-tuple *anchor* bitmask: the mutuality condition plus "the tuple
-    /// is the minimum id of its size-`m` prefix set" — a necessary
-    /// condition for the greedy to emit a group of size `m` anchored here.
-    anchor: Vec<u64>,
-}
-
-impl CsPairGraph {
-    /// Materialize the graph and the union-find of mutual pairs in two
-    /// flat sweeps over the NN lists. Back ranks are found by scanning the
-    /// partner's prefix directly — prefixes are at most `max_size − 1`
-    /// long, the same bound the greedy's own membership checks live under.
-    fn build(reln: &NnReln, max_size: usize) -> (Self, UnionFind) {
-        let n = reln.len();
-        let mut off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        off.push(0);
-        for e in reln.entries() {
-            total += max_size.saturating_sub(1).min(e.neighbors.len()) as u32;
-            off.push(total);
-        }
-
-        let mut pref = vec![0u32; total as usize];
-        for (v, e) in reln.entries().iter().enumerate() {
-            let (s, t) = (off[v] as usize, off[v + 1] as usize);
-            for (slot, nb) in pref[s..t].iter_mut().zip(&e.neighbors) {
-                *slot = nb.id;
-            }
-        }
-
-        let mut back = vec![u32::MAX; total as usize];
-        let mut mutual = vec![0u64; n];
-        let mut anchor = vec![0u64; n];
-        let mut uf = UnionFind::new(n);
-        for v in 0..n as u32 {
-            let (s, t) = (off[v as usize] as usize, off[v as usize + 1] as usize);
-            // Running state over the growing prefix: whether `v` is still
-            // the minimum id, and the worst back rank seen so far.
-            let mut min_id_ok = true;
-            let mut max_back = 0u32;
-            for j in 0..t - s {
-                let u = pref[s + j];
-                // Each unordered pair is scanned once, from its smaller
-                // endpoint: finding `v` at rank `r` of `u`'s prefix fixes
-                // both directions' back ranks (`v` sits at rank `j` of its
-                // own prefix edge to `u`). Pairs with `u < v` were settled
-                // during `u`'s iteration — ids ascend — or are one-way and
-                // correctly keep `u32::MAX`.
-                if u > v {
-                    let (us, ut) = (off[u as usize] as usize, off[u as usize + 1] as usize);
-                    if let Some(r) = pref[us..ut].iter().position(|&b| b == v) {
-                        back[s + j] = r as u32;
-                        back[us + r] = j as u32;
-                        uf.union(v, u);
-                    }
-                } else {
-                    min_id_ok = false;
-                }
-                max_back = max_back.max(back[s + j]);
-                // Group size m = j + 2 needs every back rank ≤ m − 2.
-                let m = j + 2;
-                if max_back <= (m - 2) as u32 && m < 64 {
-                    mutual[v as usize] |= 1 << m;
-                    if min_id_ok {
-                        anchor[v as usize] |= 1 << m;
-                    }
-                }
-            }
-        }
-        (Self { off, pref, mutual, anchor, back }, uf)
-    }
-
-    /// Necessary condition for the greedy at `v` to emit a group of size
-    /// `m`: `v` must be the minimum id of its size-`m` prefix set, every
-    /// prefix neighbor `u` must hold `v` within its own first `m − 1`
-    /// neighbors, and every prefix neighbor must itself be fully mutual at
-    /// level `m` — otherwise some member's `m`-nearest-neighbor set cannot
-    /// equal the candidate and [`is_compact_set`] rejects it. All three
-    /// facts are read off the materialized bitmasks without allocating.
-    fn can_anchor(&self, entry: &NnEntry, m: usize) -> bool {
-        let v = entry.id as usize;
-        if m < 64 {
-            let bit = 1u64 << m;
-            return self.anchor[v] & bit != 0
-                && self.pref[self.off[v] as usize..][..m - 1]
-                    .iter()
-                    .all(|&u| self.mutual[u as usize] & bit != 0);
-        }
-        let k = m - 1;
-        let s = self.off[v] as usize;
-        let t = self.off[v + 1] as usize;
-        if t - s < k {
-            return false; // prefix set ill-defined: the greedy skips m too
-        }
-        let lim = (m - 2) as u32;
-        entry.neighbors[..k].iter().all(|nb| nb.id > entry.id)
-            && self.back[s..s + k].iter().all(|&r| r <= lim)
-    }
-}
-
-/// Connected components of the CS-pair graph: tuples `u`, `v` are joined
-/// iff each appears in the other's first `max_size − 1` neighbors (a
-/// mutual-neighbor pair — exactly the pairs the relational path
-/// materializes into `CSPairs`). Every compact set is a clique of such
-/// pairs, so every candidate group lies inside one component. Components
-/// come back in canonical order (members ascending, ordered by min id),
-/// singletons included.
-pub fn cs_pair_components(reln: &NnReln, max_size: usize) -> Vec<Vec<u32>> {
-    CsPairGraph::build(reln, max_size).1.components()
-}
-
-/// Component-parallel Phase 2: identical output to [`partition_entries`],
-/// computed on `n_threads` scoped worker threads (`0` = one per available
-/// CPU).
-///
-/// The CS-pair structure is materialized once ([`CsPairGraph`], the
-/// in-memory `CSPairs` of §5) and decomposed into connected components
-/// (as [`cs_pair_components`]); components are cost-balanced over the
-/// workers ([`balance_components`], cost ∝ Σ per-tuple prefix-set work);
-/// each worker runs the same greedy as the sequential path over its
-/// components' tuples in ascending id order with worker-local `assigned`
-/// state (sound because no candidate group spans components), using the
-/// materialized back ranks to skip candidate sizes the CS criterion is
-/// bound to reject; and the collected groups are canonicalized by
-/// [`Partition::from_groups`] (groups sorted by anchor id), which erases
-/// any scheduling order. Singleton components are skipped outright — a
-/// tuple with no mutual neighbor can never anchor or join a group.
-pub fn partition_entries_parallel(
-    reln: &NnReln,
-    cut: CutSpec,
-    agg: Aggregation,
-    c: f64,
-    n_threads: usize,
-) -> Partition {
-    let n = reln.len();
-    let threads = crate::parallel::resolve_threads(n_threads, n);
-    let max_size = cut.max_group_size(n);
-    let theta = cut.diameter_bound();
-
-    let (graph, uf) = CsPairGraph::build(reln, max_size);
-    let components = uf.components();
-    incr(Counter::Phase2Components, components.len() as u64);
-
-    // Cost model: the greedy at tuple v tries up to |prefix(v)| set sizes,
-    // each checking ≤ |prefix(v)| members — quadratic in the list length.
-    let costs: Vec<u64> = components
-        .iter()
-        .map(|comp| {
-            comp.iter()
-                .map(|&v| {
-                    let len = reln.entry(v).neighbors.len().min(max_size) as u64 + 1;
-                    len * len
-                })
-                .sum()
-        })
-        .collect();
-    let shards = balance_components(&costs, threads);
-
-    let mut shard_groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); shards.len()];
-    std::thread::scope(|scope| {
-        for (shard, out) in shards.iter().zip(shard_groups.iter_mut()) {
-            let (components, graph) = (&components, &graph);
-            scope.spawn(move || {
-                let mut assigned = vec![false; n];
-                let mut groups: Vec<Vec<u32>> = Vec::new();
-                for &ci in shard {
-                    let comp = &components[ci];
-                    if comp.len() < 2 {
-                        continue; // no mutual pair, no possible group
-                    }
-                    for &v in comp {
-                        if assigned[v as usize] {
-                            continue;
-                        }
-                        if let Some(s) = greedy_group_at(
-                            reln,
-                            v,
-                            max_size,
-                            theta,
-                            agg,
-                            c,
-                            true,
-                            true,
-                            &assigned,
-                            Some(graph),
-                        ) {
-                            for &u in &s {
-                                assigned[u as usize] = true;
-                            }
-                            groups.push(s);
-                        }
-                    }
-                }
-                *out = groups;
-            });
-        }
-    });
-    Partition::from_groups(n, shard_groups.into_iter().flatten())
 }
 
 /// Schema of the materialized `NN_Reln` table: `[ID, NN-List, NG]`.
@@ -513,9 +258,7 @@ pub fn partition_via_tables(
 
     // Step 5: ORDER BY id1 (the CS-group query), then group the sorted
     // pairs by anchor and extract the connected components of the CSPairs
-    // graph — the same union-find machinery the component-parallel
-    // in-memory path uses ([`cs_pair_components`]), so a component bug
-    // shows up in the `phase2_equivalence` suite on either path.
+    // graph.
     incr(Counter::Phase2SortPasses, 1);
     let sorted = external_sort(&cs_pairs, &SortConfig::by_columns(vec![0, 1]))?;
     let groups_by_id = group_sorted(sorted.iter().collect::<RelationResult<Vec<_>>>()?, &[0]);

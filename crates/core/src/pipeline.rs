@@ -10,11 +10,10 @@
 //! drives the same phases over any pre-built [`NnIndex`] (e.g. a
 //! [`crate::matrix::MatrixIndex`]).
 //!
-//! Both phases scale over threads through one [`Parallelism`] knob:
-//! Phase 1 shards the id space ([`crate::parallel`]), Phase 2 processes
-//! CS-pair components concurrently
-//! ([`crate::phase2::partition_entries_parallel`]); either way results are
-//! bit-for-bit identical to the sequential drive.
+//! Phase 1 scales over threads through one [`Parallelism`] knob
+//! ([`crate::parallel`]); results are bit-for-bit identical to the
+//! sequential drive. Phase 2 is a cheap function of `NN_Reln` and always
+//! runs sequentially.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +36,7 @@ use crate::nnreln::NnReln;
 use crate::parallel::resolve_threads;
 use crate::partition::Partition;
 use crate::phase1::{NeighborSpec, Phase1Stats};
-use crate::phase2::{partition_entries, partition_entries_parallel, partition_via_tables};
+use crate::phase2::{partition_entries, partition_via_tables};
 use crate::problem::CutSpec;
 
 /// Which nearest-neighbor index Phase 1 uses.
@@ -59,43 +58,27 @@ impl Default for IndexChoice {
     }
 }
 
-/// Per-phase worker-thread counts — the one knob driving every parallel
-/// path of the pipeline. `None` for a phase means the sequential drive
-/// (for Phase 1 that is the ordered scan honoring
-/// [`DedupConfig::lookup_order`]); `Some(0)` means one worker per
-/// available CPU. Parallel and sequential drives produce identical
-/// results for both phases, so this is purely a performance knob.
+/// Phase-1 worker-thread count — the one knob driving the pipeline's
+/// parallel path. `None` means the sequential drive (the ordered scan
+/// honoring [`DedupConfig::lookup_order`]); `Some(0)` means one worker
+/// per available CPU. Parallel and sequential drives produce identical
+/// results, so this is purely a performance knob. Phase 2 always runs
+/// sequentially.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads for Phase 1 (NN-list materialization).
     pub phase1_threads: Option<usize>,
-    /// Worker threads for Phase 2 (component-parallel partitioning).
-    /// Ignored when Phase 2 routes through the relational substrate
-    /// ([`DedupConfig::via_tables`]), which stays sequential.
-    pub phase2_threads: Option<usize>,
 }
 
 impl Parallelism {
-    /// Both phases sequential (the default).
+    /// Sequential Phase 1 (the default).
     pub fn sequential() -> Self {
         Self::default()
     }
 
-    /// Both phases on `n` worker threads (`0` = all CPUs).
+    /// Phase 1 on `n` worker threads (`0` = all CPUs).
     pub fn threads(n: usize) -> Self {
-        Self { phase1_threads: Some(n), phase2_threads: Some(n) }
-    }
-
-    /// Set the Phase-1 worker count.
-    pub fn phase1(mut self, n: usize) -> Self {
-        self.phase1_threads = Some(n);
-        self
-    }
-
-    /// Set the Phase-2 worker count.
-    pub fn phase2(mut self, n: usize) -> Self {
-        self.phase2_threads = Some(n);
-        self
+        Self { phase1_threads: Some(n) }
     }
 }
 
@@ -126,10 +109,9 @@ pub struct DedupConfig {
     pub via_tables: bool,
     /// Buffer-pool frames for index pages and Phase-2 tables.
     pub buffer_frames: usize,
-    /// Per-phase worker-thread counts. Results are identical to the
-    /// sequential drive either way — see [`crate::parallel`] and
-    /// [`crate::phase2::partition_entries_parallel`]; the sequential BF
-    /// order only matters for disk-resident indexes.
+    /// Phase-1 worker-thread count. Results are identical to the
+    /// sequential drive either way — see [`crate::parallel`]; the
+    /// sequential BF order only matters for disk-resident indexes.
     pub parallelism: Parallelism,
     /// Capacity (in entries) of the symmetric pair-distance memo consulted
     /// during Phase-1 verification; `0` disables it. The partition is
@@ -157,7 +139,7 @@ pub struct DedupConfig {
 impl DedupConfig {
     /// Defaults: `DE_S(5)`, `Max` aggregation, `c = 4`, `p = 2`,
     /// breadth-first lookups, inverted index, 4096 buffer frames (32 MB),
-    /// both phases sequential.
+    /// sequential Phase 1.
     pub fn new(distance: DistanceKind) -> Self {
         Self {
             distance,
@@ -231,7 +213,7 @@ impl DedupConfig {
         self
     }
 
-    /// Set the per-phase worker-thread counts.
+    /// Set the Phase-1 worker-thread count.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -330,8 +312,8 @@ pub struct DedupOutcome {
     pub buffer_stats: BufferStats,
     /// The unified run-metrics surface: per-layer counters (distance
     /// evaluations, index traffic, Phase-2 relational work), buffer-pool
-    /// accounting over the whole run, Phase-1 probe telemetry, per-phase
-    /// worker-thread counts, and per-stage wall times. JSON-serializable
+    /// accounting over the whole run, Phase-1 probe telemetry and worker
+    /// count, and per-stage wall times. JSON-serializable
     /// via [`RunMetrics::to_json`]; the CLI prints it under `--metrics`.
     ///
     /// Counter-backed sections are per-run deltas of process-global
@@ -370,7 +352,7 @@ fn validate(config: &DedupConfig) -> Result<(), DedupError> {
 /// let config = DedupConfig::new(DistanceKind::FuzzyMatch)
 ///     .cut(CutSpec::Size(4))
 ///     .sn_threshold(4.0)
-///     .parallelism(Parallelism::threads(0)); // both phases, all CPUs
+///     .parallelism(Parallelism::threads(0)); // Phase 1 on all CPUs
 /// let records: Vec<Vec<String>> = vec![/* ... */];
 /// let outcome = Deduplicator::new(config).run_records(&records).unwrap();
 /// println!("{} groups", outcome.partition.num_groups());
@@ -637,12 +619,7 @@ impl Deduplicator {
         let mut partition = if config.via_tables {
             partition_via_tables(&nn_reln, config.cut, config.agg, config.c, pool.clone())?
         } else {
-            match config.parallelism.phase2_threads {
-                Some(threads) => {
-                    partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
-                }
-                None => partition_entries(&nn_reln, config.cut, config.agg, config.c),
-            }
+            partition_entries(&nn_reln, config.cut, config.agg, config.c)
         };
         let phase2_duration = t2.elapsed();
         let t3 = Instant::now();
@@ -651,14 +628,9 @@ impl Deduplicator {
         }
         let minimality_duration = t3.elapsed();
 
-        let mut run_metrics = RunMetrics::default();
-        // Pipeline-filled (non-counter) thread counts go in before the
-        // delta is applied; `apply_counter_delta` preserves them.
-        run_metrics.phase2.threads = match (config.via_tables, config.parallelism.phase2_threads) {
-            (true, _) | (false, None) => 1,
-            (false, Some(t)) => resolve_threads(t, n_full) as u64,
-        };
-        run_metrics.collapse = collapse_metrics;
+        // Pipeline-filled (non-counter) fields go in before the delta is
+        // applied; `apply_counter_delta` preserves them.
+        let mut run_metrics = RunMetrics { collapse: collapse_metrics, ..RunMetrics::default() };
         run_metrics.spill.peak_rss_bytes = fuzzydedup_metrics::peak_rss_bytes();
         run_metrics.apply_counter_delta(&fuzzydedup_metrics::snapshot().delta(&counters_before));
         // Storage section covers the whole run on this pool: Phase-1 index
@@ -860,57 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn run_metrics_populated_end_to_end() {
-        // Counter-backed sections are process-global; serialize against
-        // other tests that increment or reset the same counters.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        let config = DedupConfig::new(DistanceKind::FuzzyMatch)
-            .cut(CutSpec::Size(4))
-            .sn_threshold(4.0)
-            .via_tables(true);
-        let outcome = dedup(&music_records(), &config).unwrap();
-        let m = &outcome.metrics;
-        // nnindex: one combined lookup per tuple, candidates verified with
-        // exact distance calls, postings scanned through the pool.
-        assert_eq!(m.nnindex.lookups, 10);
-        assert!(m.nnindex.candidates_generated > 0);
-        assert_eq!(m.nnindex.exact_distance_calls, m.nnindex.candidates_generated);
-        assert!(m.nnindex.postings_scanned > 0);
-        // cand_gen: generation is counted; fms admits no q-gram bound, so
-        // the pruning filters must not have fired.
-        assert!(m.cand_gen.generated > 0);
-        assert_eq!(m.cand_gen.pruned_by_length, 0);
-        assert_eq!(m.cand_gen.pruned_by_count, 0);
-        // textdist: the verification distance calls are attributed per kind.
-        assert!(m.textdist.total() >= m.nnindex.exact_distance_calls);
-        // storage: index lookups and Phase-2 tables hit the buffer pool.
-        assert!(m.storage.hits + m.storage.misses > 0);
-        assert!((0.0..=1.0).contains(&m.storage.hit_ratio));
-        // phase1: probe telemetry mirrors the exact Phase1Stats; the
-        // sequential drive reports one worker.
-        assert_eq!(m.phase1.tuples, 10);
-        assert_eq!(m.phase1.index_probes, outcome.phase1_stats.lookups);
-        assert_eq!(m.phase1.threads, 1);
-        // phase2 (via tables): rows were unnested, pairs materialized,
-        // sort and join passes ran, and the CSPairs graph decomposed into
-        // components (singletons included, so ≥ the duplicate groups).
-        assert!(m.phase2.unnested_rows > 0);
-        assert!(m.phase2.cs_pairs > 0);
-        assert!(m.phase2.sort_passes > 0);
-        assert!(m.phase2.join_passes > 0);
-        assert!(m.phase2.components > 0);
-        assert_eq!(m.phase2.threads, 1);
-        // timings: stages measured and rolled into the total.
-        assert!(m.timings.phase1_ns > 0);
-        assert!(m.timings.total_ns >= m.timings.phase1_ns + m.timings.phase2_ns);
-        // JSON rendering carries the numbers.
-        let json = m.to_json();
-        assert!(json.contains("\"lookups\": 10"), "{json}");
-        assert!(json.contains("\"tuples\": 10"), "{json}");
-        assert!(json.contains("\"components\""), "{json}");
-    }
-
-    #[test]
     fn parallel_phases_match_sequential() {
         let base =
             DedupConfig::new(DistanceKind::FuzzyMatch).cut(CutSpec::Size(4)).sn_threshold(4.0);
@@ -923,15 +844,7 @@ mod tests {
             assert_eq!(seq.nn_reln, par.nn_reln);
             assert!(par.phase1_stats.visit_order.is_empty(), "no order in parallel mode");
             assert!(par.metrics.phase1.threads >= 1);
-            assert!(par.metrics.phase2.threads >= 1);
-            assert!(par.metrics.phase2.components > 0, "parallel phase 2 extracts components");
         }
-        // Phases can also be parallelized independently.
-        let p2_only =
-            dedup(&music_records(), &base.clone().parallelism(Parallelism::sequential().phase2(2)))
-                .unwrap();
-        assert_eq!(seq.partition, p2_only.partition);
-        assert!(!p2_only.phase1_stats.visit_order.is_empty(), "phase 1 stayed ordered");
     }
 
     #[test]
@@ -1040,10 +953,7 @@ mod tests {
         // Parallel Phase 1 sharing the cache still agrees.
         let par = dedup(
             &music_records(),
-            &base
-                .clone()
-                .pair_cache_capacity(1 << 16)
-                .parallelism(Parallelism::sequential().phase1(2)),
+            &base.clone().pair_cache_capacity(1 << 16).parallelism(Parallelism::threads(2)),
         )
         .unwrap();
         assert_eq!(plain.partition, par.partition);

@@ -458,6 +458,10 @@ pub struct ServiceStats {
     pub distinct_groups_estimate: u64,
     /// Whether that estimate is still exact (sample under its cap).
     pub distinct_is_exact: bool,
+    /// The writer thread died (see [`ServiceError::WriterFailed`]):
+    /// nothing submitted after the last published epoch will ever become
+    /// visible, and every further submission is refused.
+    pub writer_failed: bool,
 }
 
 /// A long-running dedup service over the incremental path; see module docs.
@@ -584,6 +588,10 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Block until every record submitted so far is visible to queries,
     /// or until the writer has failed (then the records still pending
     /// never become visible; see [`ServiceError::WriterFailed`]).
+    ///
+    /// A returning drain does not say which of the two happened: callers
+    /// that need the records visible check [`ServiceStats::writer_failed`]
+    /// afterwards.
     pub fn drain(&self) {
         let mut q = self.shared.queue.lock().unwrap();
         while (!q.pending.is_empty() || q.in_flight) && !q.writer_failed {
@@ -595,9 +603,9 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     pub fn stats(&self) -> ServiceStats {
         let (epoch, corpus_len, num_groups) =
             self.reader.read(|epoch, state| (epoch, state.len(), state.partition().num_groups()));
-        let (queue_depth, depth_high_water) = {
+        let (queue_depth, depth_high_water, writer_failed) = {
             let q = self.shared.queue.lock().unwrap();
-            (q.pending.len(), q.depth_high_water)
+            (q.pending.len(), q.depth_high_water, q.writer_failed)
         };
         let (distinct_groups_estimate, distinct_is_exact) = {
             let d = self.shared.distinct.lock().unwrap();
@@ -618,6 +626,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             query_p99_ns: self.shared.latency.quantile_ns(0.99),
             distinct_groups_estimate,
             distinct_is_exact,
+            writer_failed,
         }
     }
 
@@ -1056,10 +1065,12 @@ mod tests {
         service.drain();
         let before = service.stats();
         assert_eq!(before.corpus_len, records.len());
+        assert!(!before.writer_failed, "a healthy drained service reports a live writer");
         // Shares terms with the corpus, so its refresh verifies a pair.
         service.submit_wait(vec![format!("service entity 001 kappa {MARKER}")]).unwrap();
         // Must return although the batch never publishes.
         service.drain();
+        assert!(service.stats().writer_failed, "the drain returned on a dead writer");
         // The queue holds 2: without the failure surfacing, the third
         // blocking submit would park forever.
         for i in 0..3 {

@@ -55,86 +55,17 @@ pub fn estimate_sn_threshold_with(
 
     // Distinct values with their counts, ascending.
     let mut distinct: Vec<(f64, u64)> = Vec::new();
-    for &v in &sorted {
-        push_run(&mut distinct, v, 1);
+    for v in sorted {
+        match distinct.last_mut() {
+            Some((last, count)) if *last == v => *count += 1,
+            _ => distinct.push((v, 1)),
+        }
     }
     spike_walk(&distinct, n, f, config)
-}
-
-/// Parallel form of [`estimate_sn_threshold`]: the NG-distribution scan
-/// (sort + distinct-run counting over the whole relation) is sharded over
-/// `n_threads` scoped worker threads (`0` = one per CPU) and the per-shard
-/// sorted runs are merged before the same spike walk. The result is
-/// identical to the sequential estimator for every input — only the
-/// distribution construction parallelizes; the walk itself is O(distinct).
-pub fn estimate_sn_threshold_parallel(ng_values: &[f64], f: f64, n_threads: usize) -> Option<f64> {
-    estimate_sn_threshold_parallel_with(ng_values, f, n_threads, SnThresholdConfig::default())
-}
-
-/// [`estimate_sn_threshold_parallel`] with explicit tuning parameters.
-pub fn estimate_sn_threshold_parallel_with(
-    ng_values: &[f64],
-    f: f64,
-    n_threads: usize,
-    config: SnThresholdConfig,
-) -> Option<f64> {
-    if ng_values.is_empty() {
-        return None;
-    }
-    let n = ng_values.len();
-    let threads = crate::parallel::resolve_threads(n_threads, n);
-    let chunk_size = n.div_ceil(threads).max(1);
-
-    // Shard: each worker sorts its slice and collapses it to distinct
-    // (value, count) runs.
-    let mut shard_runs: Vec<Vec<(f64, u64)>> = vec![Vec::new(); threads];
-    std::thread::scope(|scope| {
-        for (chunk, out) in ng_values.chunks(chunk_size).zip(shard_runs.iter_mut()) {
-            scope.spawn(move || {
-                let mut sorted: Vec<f64> = chunk.to_vec();
-                sorted.sort_by(f64::total_cmp);
-                let mut runs: Vec<(f64, u64)> = Vec::new();
-                for &v in &sorted {
-                    push_run(&mut runs, v, 1);
-                }
-                *out = runs;
-            });
-        }
-    });
-
-    // K-way merge of the sorted per-shard run lists into one global
-    // distinct-count list (deterministic: order by value via total_cmp).
-    let mut cursors: Vec<usize> = vec![0; shard_runs.len()];
-    let mut distinct: Vec<(f64, u64)> = Vec::new();
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (s, runs) in shard_runs.iter().enumerate() {
-            if let Some(&(v, _)) = runs.get(cursors[s]) {
-                if best.is_none_or(|(_, bv)| v.total_cmp(&bv) == std::cmp::Ordering::Less) {
-                    best = Some((s, v));
-                }
-            }
-        }
-        let Some((s, _)) = best else { break };
-        let (v, count) = shard_runs[s][cursors[s]];
-        cursors[s] += 1;
-        push_run(&mut distinct, v, count);
-    }
-    spike_walk(&distinct, n, f, config)
-}
-
-/// Append `count` occurrences of `v` to an ascending run list, merging
-/// with the last run when the value repeats.
-fn push_run(runs: &mut Vec<(f64, u64)>, v: f64, count: u64) {
-    match runs.last_mut() {
-        Some((last, c)) if *last == v => *c += count,
-        _ => runs.push((v, count)),
-    }
 }
 
 /// The §4.4 spike heuristic over an ascending distinct-count distribution
-/// of `n` total NG values. Shared by the sequential and parallel
-/// estimators so they cannot diverge.
+/// of `n` total NG values.
 fn spike_walk(distinct: &[(f64, u64)], n: usize, f: f64, config: SnThresholdConfig) -> Option<f64> {
     let f = f.clamp(0.0, 1.0);
     // Percentile position of each distinct value: its mass occupies the
@@ -236,48 +167,6 @@ mod tests {
         let ng = vec![1.0, 2.0, 3.0];
         assert!(estimate_sn_threshold(&ng, -5.0).is_some());
         assert!(estimate_sn_threshold(&ng, 5.0).is_some());
-    }
-
-    #[test]
-    fn parallel_estimator_matches_sequential() {
-        // Deterministic pseudo-random NG values with heavy ties, plus the
-        // shaped distributions from the other tests: every thread count
-        // must reproduce the sequential estimate exactly.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut noisy: Vec<f64> = (0..997)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) % 40) as f64 / 4.0
-            })
-            .collect();
-        noisy.push(f64::NAN); // total_cmp must keep NaN handling identical
-        let mut planted = vec![2.0; 15];
-        planted.extend(vec![3.0; 15]);
-        planted.extend(vec![6.0; 55]);
-        planted.extend(vec![8.0; 15]);
-        let all_equal = vec![3.0; 50];
-        let singleton = vec![7.5];
-        for (name, ng) in [
-            ("noisy", &noisy),
-            ("planted", &planted),
-            ("all-equal", &all_equal),
-            ("singleton", &singleton),
-        ] {
-            for f in [0.0, 0.2, 0.5, 1.0] {
-                let seq = estimate_sn_threshold(ng, f);
-                for threads in [1, 2, 4, 0] {
-                    let par = estimate_sn_threshold_parallel(ng, f, threads);
-                    // Bit-level equality so a shared NaN outcome counts as
-                    // agreement.
-                    assert_eq!(
-                        seq.map(f64::to_bits),
-                        par.map(f64::to_bits),
-                        "{name}: f={f} threads={threads} ({seq:?} vs {par:?})"
-                    );
-                }
-            }
-        }
-        assert_eq!(estimate_sn_threshold_parallel(&[], 0.2, 4), None);
     }
 
     #[test]

@@ -99,8 +99,8 @@ pub enum Counter {
     /// Scored candidates cut away by the `candidate_limit` partial
     /// selection — capped recall made visible (`nnindex`).
     CandidatesTruncated,
-    /// Connected components of the CS-pair graph extracted during Phase 2
-    /// (`phase2` — the unit of Phase-2 parallelism; singletons included).
+    /// Connected components of the `CSPairs` graph extracted by the
+    /// relational Phase 2 (`phase2`; singletons included).
     Phase2Components,
     /// Query compilations by the prepared-distance layer: one per
     /// `Distance::prepare` call (`textdist`).
@@ -419,17 +419,13 @@ pub struct Phase2Metrics {
     pub sort_passes: u64,
     /// Join passes.
     pub join_passes: u64,
-    /// Connected components of the CS-pair graph (singletons included;
-    /// 0 when the sequential in-memory path ran, which never extracts
-    /// them).
+    /// Connected components of the `CSPairs` graph (singletons included;
+    /// 0 when the in-memory path ran, which never extracts them).
     pub components: u64,
-    /// Worker threads that drove the partitioner (1 = sequential; filled
-    /// by the pipeline, not counter-backed).
-    pub threads: u64,
 }
 
 /// Exact-duplicate collapse pre-pass accounting (`core` collapse layer).
-/// Entirely pipeline-filled (like [`Phase2Metrics::threads`]), not
+/// Entirely pipeline-filled (like [`Phase1Metrics::threads`]), not
 /// counter-backed: the pass is a single deterministic hash scan plus one
 /// expansion, both timed by the pipeline directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -587,7 +583,6 @@ impl RunMetrics {
             sort_passes: d.get(Counter::Phase2SortPasses),
             join_passes: d.get(Counter::Phase2JoinPasses),
             components: d.get(Counter::Phase2Components),
-            threads: self.phase2.threads, // pipeline-filled, not a counter
         };
         self.service = ServiceMetrics {
             batches_admitted: d.get(Counter::ServiceBatchesAdmitted),
@@ -680,8 +675,7 @@ impl RunMetrics {
                 .u64("cs_pairs", self.phase2.cs_pairs)
                 .u64("sort_passes", self.phase2.sort_passes)
                 .u64("join_passes", self.phase2.join_passes)
-                .u64("components", self.phase2.components)
-                .u64("threads", self.phase2.threads);
+                .u64("components", self.phase2.components);
         });
         w.object("collapse", |o| {
             o.u64("classes", self.collapse.classes)
@@ -843,8 +837,7 @@ mod tests {
         incr(Counter::ServiceQueueRejections, 1);
         let delta = snapshot().delta(&before);
         let mut m = RunMetrics::default();
-        m.phase2.threads = 4; // pipeline-filled fields survive the delta
-        m.spill.peak_rss_bytes = 1234;
+        m.spill.peak_rss_bytes = 1234; // pipeline-filled fields survive the delta
         m.service.queue_depth_high_water = 9; // service-filled fields survive
         m.service.query_p50_ns = 1_000;
         m.service.query_p99_ns = 9_000;
@@ -853,7 +846,6 @@ mod tests {
         assert_eq!(m.nnindex.postings_scanned, 11);
         assert_eq!(m.phase2.sort_passes, 1);
         assert_eq!(m.phase2.components, 17);
-        assert_eq!(m.phase2.threads, 4);
         assert_eq!(m.edit_kernel.word, 9);
         assert_eq!(m.edit_kernel.blocked, 0);
         assert_eq!(m.edit_kernel.bounded, 4);

@@ -24,7 +24,7 @@
 //!   --metrics             print the run-metrics JSON (distance evals,
 //!                         index probes, buffer traffic, stage timings)
 //!                         to stderr
-//!   --threads N           run both phases on N worker threads (0 = all
+//!   --threads N           run Phase 1 on N worker threads (0 = all
 //!                         CPUs); results are identical to sequential
 //!   --pair-cache-capacity N
 //!                         memoize up to N symmetric pair distances during
@@ -74,9 +74,9 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use fuzzydedup::core::{
-    estimate_sn_threshold_parallel, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig,
-    DedupError, DedupService, Deduplicator, IncrementalDedup, Parallelism, Partition,
-    ServiceConfig, ServiceError,
+    estimate_sn_threshold, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig, DedupError,
+    DedupService, Deduplicator, IncrementalDedup, Parallelism, Partition, ServiceConfig,
+    ServiceError,
 };
 use fuzzydedup::datagen::csvio::{parse_csv, write_csv};
 use fuzzydedup::datagen::{media, org, restaurants, Dataset, DatasetSpec};
@@ -588,23 +588,19 @@ fn run() -> Result<(), String> {
     let dedup = Deduplicator::new(config.clone());
     let c = match (opts.dup_fraction, opts.c) {
         (Some(f), _) => {
-            // Probe run for NG values, then the heuristic (the NG scan
-            // parallelizes with the same --threads knob; 1 = sequential).
+            // Probe run for NG values, then the heuristic.
             if records.len() < 100 {
                 eprintln!(
-                    "warning: --dup-fraction needs a meaningful NG distribution;                      {} records is likely too few (consider --c instead)",
+                    "warning: --dup-fraction needs a meaningful NG distribution; \
+                     {} records is likely too few (consider --c instead)",
                     records.len()
                 );
             }
             let probe = Deduplicator::new(config.clone().sn_threshold(4.0))
                 .run_records(&records)
                 .map_err(|e| render_error(&e))?;
-            let derived = estimate_sn_threshold_parallel(
-                &probe.nn_reln.ng_values(),
-                f,
-                opts.threads.unwrap_or(1),
-            )
-            .ok_or("empty relation")?;
+            let derived =
+                estimate_sn_threshold(&probe.nn_reln.ng_values(), f).ok_or("empty relation")?;
             eprintln!("derived SN threshold c = {derived:.1} from duplicate fraction {f}");
             derived
         }

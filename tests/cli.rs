@@ -137,6 +137,21 @@ fn dup_fraction_derives_threshold() {
 }
 
 #[test]
+fn dup_fraction_warns_on_small_inputs() {
+    let input = temp_path("small_dup_fraction.csv");
+    std::fs::write(&input, "name\nthe doors\nthe doorz\naaliyah\nbob dylan\nbob dylann\n").unwrap();
+    let out = bin()
+        .args(["--input", input.to_str().unwrap(), "--distance", "ed", "--dup-fraction", "0.4"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warning = "warning: --dup-fraction needs a meaningful NG distribution; \
+                   5 records is likely too few (consider --c instead)";
+    assert!(stderr.lines().any(|line| line == warning), "{stderr}");
+}
+
+#[test]
 fn bad_arguments_fail_cleanly() {
     for args in [
         vec!["--unknown-flag"],

@@ -2,10 +2,11 @@
 //! gold-labelled datasets.
 
 use fuzzydedup::core::{
-    evaluate, single_linkage, Aggregation, CutSpec, DedupConfig, DedupError, DedupOutcome,
-    Deduplicator, IndexChoice, Parallelism,
+    evaluate, single_linkage, Aggregation, CollapseKey, CutSpec, DedupConfig, DedupError,
+    DedupOutcome, Deduplicator, IndexChoice, Parallelism,
 };
 use fuzzydedup::datagen::{media, restaurants, standard_quality_datasets, DatasetSpec};
+use fuzzydedup::nnindex::InvertedIndexConfig;
 use fuzzydedup::textdist::DistanceKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -199,8 +200,8 @@ fn constraining_predicates_split_product_versions() {
 
 #[test]
 fn parallel_pipeline_is_identical_on_real_data() {
-    // The Parallelism knob is a pure performance lever: both phases must
-    // reproduce the sequential partition bit-for-bit on realistic data.
+    // The Parallelism knob is a pure performance lever: threaded Phase 1
+    // must reproduce the sequential partition bit-for-bit on realistic data.
     let mut rng = StdRng::seed_from_u64(8);
     let dataset = restaurants::generate(&mut rng, DatasetSpec::with_entities(150));
     let base = de_config(DistanceKind::FuzzyMatch);
@@ -210,6 +211,35 @@ fn parallel_pipeline_is_identical_on_real_data() {
             .unwrap();
         assert_eq!(seq.partition, par.partition, "threads={threads}");
         assert_eq!(seq.nn_reln, par.nn_reln, "threads={threads}");
+    }
+}
+
+#[test]
+fn fms_collapse_is_identical_on_exact_copies() {
+    // Half the rows are byte-identical re-emissions. Collapse gives each
+    // class one lookup and splices the siblings in at distance 0, so it is
+    // exact only if fms scores identical records at exactly 0. A few ulps
+    // above 0 gave copies a non-zero nn and growth sphere, and the runs
+    // disagreed on this corpus: 72 groups with collapse off, 65 with it
+    // on. With an unlimited candidate budget the relation itself must
+    // match too (DESIGN.md §7.10).
+    let mut rng = StdRng::seed_from_u64(1);
+    let spec = DatasetSpec { n_entities: 100, ..DatasetSpec::medium() }.dup_rate(0.5);
+    let mut records = media::generate(&mut rng, spec).records;
+    records.truncate(100);
+    let base = DedupConfig::new(DistanceKind::FuzzyMatch)
+        .cut(CutSpec::Size(5))
+        .sn_threshold(4.0)
+        .index_choice(IndexChoice::Inverted(InvertedIndexConfig {
+            candidate_limit: 0,
+            ..InvertedIndexConfig::default()
+        }));
+    let plain = dedup(&records, &base).unwrap();
+    for key in [CollapseKey::RecordString, CollapseKey::ExactFields] {
+        let collapsed = dedup(&records, &base.clone().collapse(Some(key))).unwrap();
+        assert!(collapsed.metrics.collapse.collapsed_records > 0, "{key:?}: nothing collapsed");
+        assert_eq!(plain.partition, collapsed.partition, "{key:?}: partition moved");
+        assert_eq!(plain.nn_reln, collapsed.nn_reln, "{key:?}: relation moved");
     }
 }
 

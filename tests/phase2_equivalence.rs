@@ -1,20 +1,18 @@
-//! Property test: the in-memory Phase 2 (`partition_entries`), the
-//! component-parallel Phase 2 (`partition_entries_parallel`), and the
+//! Property test: the in-memory Phase 2 (`partition_entries`) and the
 //! SQL-shaped relational Phase 2 (`partition_via_tables`) are the same
 //! function.
 //!
 //! The relational path re-derives the compact-set and sparse-neighborhood
 //! checks through unnest / self-join / sort / group operators over the
-//! paged substrate, and the parallel path processes CS-pair connected
-//! components on worker threads; any divergence from the in-memory
-//! reference is a bug in one of the three. We drive all of them over
-//! randomized metric relations and every [`CutSpec`] variant.
+//! paged substrate; any divergence between the two is a bug in one of
+//! them. We drive both over randomized metric relations and every
+//! [`CutSpec`] variant.
 
 use std::sync::Arc;
 
 use fuzzydedup::core::{
-    compute_nn_reln, partition_entries, partition_entries_parallel, partition_via_tables,
-    Aggregation, CutSpec, MatrixIndex, NeighborSpec,
+    compute_nn_reln, partition_entries, partition_via_tables, Aggregation, CutSpec, MatrixIndex,
+    NeighborSpec,
 };
 use fuzzydedup::nnindex::LookupOrder;
 use fuzzydedup::storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
@@ -58,13 +56,6 @@ fn assert_paths_agree(points: &[f64], span: f64, label: &str) {
                 let tab = partition_via_tables(&reln, cut, agg, c, fresh_pool(16))
                     .expect("relational phase 2");
                 assert_eq!(mem, tab, "{label}: cut {cut:?}, agg {agg:?}, c {c} diverged");
-                for threads in [2, 4] {
-                    let par = partition_entries_parallel(&reln, cut, agg, c, threads);
-                    assert_eq!(
-                        mem, par,
-                        "{label}: cut {cut:?}, agg {agg:?}, c {c}, {threads} threads diverged"
-                    );
-                }
             }
         }
     }
